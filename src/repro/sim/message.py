@@ -17,14 +17,45 @@ WORD_BITS = 64
 
 
 def _value_bits(value: Any) -> int:
-    """Recursive size estimate for a payload field value."""
-    if value is None or isinstance(value, bool):
-        return 1
-    if isinstance(value, int):
+    """Size estimate for a payload field value.
+
+    Dispatches on the exact type of the common field values first: a
+    plain ``int`` (IDs, ranks, counters), a plain ``tuple`` (the waves
+    and sublinear keys, whose int elements are sized inline), a ``str``
+    and a ``bool``.  Everything else -- ``None``, int subclasses such
+    as an ``IntEnum``, lists, sets, nested payloads, unknown objects --
+    takes :func:`_value_bits_general`, and both paths charge the same
+    bits for the same value.
+    """
+    cls = type(value)
+    if cls is int:
         # |value| magnitude bits, plus one sign bit for negatives, so
         # the charge is continuous through 0.  (It used to be a flat
         # WORD_BITS for any negative, making e.g. the negated-key waves
         # of Corollary 4.5 look 64-bit regardless of magnitude.)
+        bits = value.bit_length() or 1
+        return bits + 1 if value < 0 else bits
+    if cls is tuple:
+        total = len(value)
+        for item in value:
+            if type(item) is int:
+                bits = item.bit_length() or 1
+                total += bits + 1 if item < 0 else bits
+            else:
+                total += _value_bits(item)
+        return total
+    if cls is str:
+        return 8 * len(value)
+    if cls is bool:
+        return 1
+    return _value_bits_general(value)
+
+
+def _value_bits_general(value: Any) -> int:
+    """The ``isinstance`` chain behind :func:`_value_bits`' fast paths."""
+    if value is None or isinstance(value, bool):
+        return 1
+    if isinstance(value, int):
         bits = max(1, value.bit_length())
         return bits + 1 if value < 0 else bits
     if isinstance(value, str):
@@ -57,7 +88,11 @@ class Payload:
     """
 
     def size_bits(self) -> int:
-        cached = self.__dict__.get("_size_bits")
+        # Fields and the memo both live in the instance ``__dict__``
+        # (frozen dataclasses without slots), so reading fields through
+        # it skips ``getattr`` and the memo is a single dict write.
+        state = self.__dict__
+        cached = state.get("_size_bits")
         if cached is not None:
             return cached
         cls = type(self)
@@ -66,8 +101,8 @@ class Payload:
             names = _FIELD_NAMES[cls] = tuple(f.name for f in fields(self))
         total = 8  # message-type header
         for name in names:
-            total += _value_bits(getattr(self, name))
-        object.__setattr__(self, "_size_bits", total)
+            total += _value_bits(state[name])
+        state["_size_bits"] = total
         return total
 
     def kind(self) -> str:

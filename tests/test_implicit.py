@@ -126,22 +126,25 @@ class TestDiameterMemoized:
 
     def test_knowledge_d_callers_share_one_bfs_sweep(self):
         """Repeated run_trials with knowledge_keys=("D",) must not pay
-        the O(n·m) all-sources BFS per call."""
+        the all-sources diameter sweep per call."""
         from repro.analysis import run_trials
         from repro.core import LeastElementElection
 
         calls = {"n": 0}
 
         class Probe(Topology):
-            def eccentricity(self, source):
+            def _all_sources_depth(self):
                 calls["n"] += 1
-                return super().eccentricity(source)
+                return super()._all_sources_depth()
 
         probe = Probe(8, [(i, (i + 1) % 8) for i in range(8)], name="ring-8")
         for _ in range(3):
             run_trials(probe, LeastElementElection, trials=2,
                        knowledge_keys=("n", "D"))
-        assert calls["n"] == probe.num_nodes  # one sweep, ever
+        assert calls["n"] == 1  # one sweep per instance, ever
+        other = Probe(8, [(i, (i + 1) % 8) for i in range(8)], name="ring-8")
+        assert other.diameter() == probe.diameter() == 4
+        assert calls["n"] == 2
 
 
 class TestLazyNetwork:

@@ -17,7 +17,10 @@ non-delay-tolerant algorithm kingdom's port discipline assumes lock-step
                              rounds; real sockets are asynchronous
 ``watch_edges``              needs the per-send Envelope path
 ``record_sends``             same — sends live on sockets, not in a log
-delay Δ > 1                  delivery bookkeeping is the Δ = 1 flat buffer
+delay Δ > 1                  one delivery round can hold frames from
+                             several send rounds, which the simulator
+                             orders by send round first; frames carry
+                             only their delivery round
 implicit (lazy) networks     implicit topologies exist for n far beyond
                              any socket mesh
 n > NET_MAX_NODES            n(n-1)/2 loopback connections; beyond this,
@@ -60,8 +63,10 @@ def supports(request: RunRequest) -> Optional[str]:
     if request.record_sends:
         return "record_sends needs the event loop's per-send Envelope path"
     if request.model is not None and request.model.delay.max_delay > 1:
-        return (f"delay Δ={request.model.delay.max_delay} > 1: net "
-                "delivery bookkeeping is the Δ=1 flat buffer")
+        return (f"delay Δ={request.model.delay.max_delay} > 1: a receiver "
+                "can get frames from several send rounds in one delivery "
+                "round, which the simulator orders by send round first, "
+                "and net frames carry only their delivery round")
     if isinstance(request.network, ImplicitNetwork):
         return ("implicit (lazy) networks are simulator-scale; the net "
                 "backend opens one real TCP connection per edge")

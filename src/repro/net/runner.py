@@ -255,9 +255,8 @@ class NetRunner:
     def _submit_send(self, src: int, port: int, payload: Payload) -> None:
         size = payload.size_bits()
         if self._congest_bits is not None and size > self._congest_bits:
-            raise CongestViolation(
-                f"payload {payload.kind()} is {size} bits "
-                f"(> CONGEST limit of {self._congest_bits})")
+            raise CongestViolation.over(payload.kind(), size,
+                                        self._congest_bits)
         dst = self._port_table[src][port]
         dst_port = self._peer_table[src][port]
         self.metrics.record_send(src, dst, payload.kind(), size,
@@ -268,9 +267,8 @@ class NetRunner:
                           payload: Payload) -> None:
         size = payload.size_bits()
         if self._congest_bits is not None and size > self._congest_bits:
-            raise CongestViolation(
-                f"payload {payload.kind()} is {size} bits "
-                f"(> CONGEST limit of {self._congest_bits})")
+            raise CongestViolation.over(payload.kind(), size,
+                                        self._congest_bits)
         port_row = self._port_table[src]
         peer_row = self._peer_table[src]
         dr = self._current_round + 1
@@ -297,9 +295,8 @@ class NetRunner:
     def _submit_send_model(self, src: int, port: int, payload: Payload) -> None:
         size = payload.size_bits()
         if self._congest_bits is not None and size > self._congest_bits:
-            raise CongestViolation(
-                f"payload {payload.kind()} is {size} bits "
-                f"(> CONGEST limit of {self._congest_bits})")
+            raise CongestViolation.over(payload.kind(), size,
+                                        self._congest_bits)
         dst = self._port_table[src][port]
         dst_port = self._peer_table[src][port]
         r = self._current_round
@@ -319,9 +316,8 @@ class NetRunner:
                                 payload: Payload) -> None:
         size = payload.size_bits()
         if self._congest_bits is not None and size > self._congest_bits:
-            raise CongestViolation(
-                f"payload {payload.kind()} is {size} bits "
-                f"(> CONGEST limit of {self._congest_bits})")
+            raise CongestViolation.over(payload.kind(), size,
+                                        self._congest_bits)
         port_row = self._port_table[src]
         peer_row = self._peer_table[src]
         r = self._current_round

@@ -102,28 +102,17 @@ class KernelRuntime:
                           count: int) -> None:
         """Count one payload fanned out over ``count`` ports of ``src``.
 
-        Same counter updates (and the same CONGEST check, with the same
-        message) as the Simulator's ``_submit_multicast``.
+        Same CONGEST check and counter updates as the Simulator's
+        ``_submit_multicast``.
         """
-        if self.congest_bits is not None and size > self.congest_bits:
-            raise CongestViolation(
-                f"payload {kind} is {size} bits "
-                f"(> CONGEST limit of {self.congest_bits})")
-        metrics = self.metrics
-        metrics.messages += count
-        metrics.bits += size * count
-        if size > metrics.max_payload_bits:
-            metrics.max_payload_bits = size
-        metrics.per_node_sent[src] += count
-        metrics.per_kind[kind] += count
+        self.congest_check(kind, size)
+        self.metrics.record_broadcast(src, kind, size, count)
         self.pending += count
 
     def congest_check(self, kind: str, size: int) -> None:
         """Standalone CONGEST check for bulk-accounted sends."""
         if self.congest_bits is not None and size > self.congest_bits:
-            raise CongestViolation(
-                f"payload {kind} is {size} bits "
-                f"(> CONGEST limit of {self.congest_bits})")
+            raise CongestViolation.over(kind, size, self.congest_bits)
 
 
 class _BatchMetrics(Metrics):

@@ -15,6 +15,13 @@ class ModelViolation(SimulationError):
 class CongestViolation(ModelViolation):
     """A message exceeded the CONGEST bandwidth bound of O(log n) bits."""
 
+    @classmethod
+    def over(cls, kind: str, size: int, limit: int) -> "CongestViolation":
+        """The violation for a ``kind`` payload of ``size`` bits; every
+        engine raises through here, so their messages compare equal."""
+        return cls(f"payload {kind} is {size} bits "
+                   f"(> CONGEST limit of {limit})")
+
 
 class InvalidPort(ModelViolation):
     """A send targeted a port outside ``[0, degree)``."""

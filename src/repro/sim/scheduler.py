@@ -336,9 +336,8 @@ class Simulator:
     def _submit_send(self, src: int, port: int, payload: Payload) -> None:
         size = payload.size_bits()  # memoized; shared with the metrics
         if self._congest_bits is not None and size > self._congest_bits:
-            raise CongestViolation(
-                f"payload {payload.kind()} is {size} bits "
-                f"(> CONGEST limit of {self._congest_bits})")
+            raise CongestViolation.over(payload.kind(), size,
+                                        self._congest_bits)
         dst = self._port_table[src][port]
         dst_port = self._peer_table[src][port]
         if self._fast_sends:
@@ -365,9 +364,8 @@ class Simulator:
         """
         size = payload.size_bits()
         if self._congest_bits is not None and size > self._congest_bits:
-            raise CongestViolation(
-                f"payload {payload.kind()} is {size} bits "
-                f"(> CONGEST limit of {self._congest_bits})")
+            raise CongestViolation.over(payload.kind(), size,
+                                        self._congest_bits)
         port_row = self._port_table[src]
         peer_row = self._peer_table[src]
         inboxes = self._inboxes
@@ -413,9 +411,8 @@ class Simulator:
     def _submit_send_agg(self, src: int, port: int, payload: Payload) -> None:
         size = payload.size_bits()
         if self._congest_bits is not None and size > self._congest_bits:
-            raise CongestViolation(
-                f"payload {payload.kind()} is {size} bits "
-                f"(> CONGEST limit of {self._congest_bits})")
+            raise CongestViolation.over(payload.kind(), size,
+                                        self._congest_bits)
         dst = self._port_table[src][port]
         dst_port = self._peer_table[src][port]
         self.metrics.record_send(src, dst, payload.kind(), size,
@@ -431,9 +428,8 @@ class Simulator:
                               payload: Payload) -> None:
         size = payload.size_bits()
         if self._congest_bits is not None and size > self._congest_bits:
-            raise CongestViolation(
-                f"payload {payload.kind()} is {size} bits "
-                f"(> CONGEST limit of {self._congest_bits})")
+            raise CongestViolation.over(payload.kind(), size,
+                                        self._congest_bits)
         count = len(ports)
         if count == self.network.degree(src):
             # All ports (claim_ports guarantees distinctness): this is a
@@ -457,9 +453,8 @@ class Simulator:
     def _submit_broadcast_agg(self, src: int, payload: Payload) -> None:
         size = payload.size_bits()
         if self._congest_bits is not None and size > self._congest_bits:
-            raise CongestViolation(
-                f"payload {payload.kind()} is {size} bits "
-                f"(> CONGEST limit of {self._congest_bits})")
+            raise CongestViolation.over(payload.kind(), size,
+                                        self._congest_bits)
         self._bcast_records.append((src, payload))
         self.metrics.record_broadcast(src, payload.kind(), size,
                                       self.network.degree(src))
@@ -503,9 +498,8 @@ class Simulator:
     def _submit_send_model(self, src: int, port: int, payload: Payload) -> None:
         size = payload.size_bits()
         if self._congest_bits is not None and size > self._congest_bits:
-            raise CongestViolation(
-                f"payload {payload.kind()} is {size} bits "
-                f"(> CONGEST limit of {self._congest_bits})")
+            raise CongestViolation.over(payload.kind(), size,
+                                        self._congest_bits)
         dst = self._port_table[src][port]
         dst_port = self._peer_table[src][port]
         r = self._current_round
@@ -538,9 +532,8 @@ class Simulator:
         """
         size = payload.size_bits()
         if self._congest_bits is not None and size > self._congest_bits:
-            raise CongestViolation(
-                f"payload {payload.kind()} is {size} bits "
-                f"(> CONGEST limit of {self._congest_bits})")
+            raise CongestViolation.over(payload.kind(), size,
+                                        self._congest_bits)
         port_row = self._port_table[src]
         peer_row = self._peer_table[src]
         r = self._current_round

@@ -63,7 +63,7 @@ class Network:
         # Flat hot-path tables: degree per node, and for each (node,
         # port) the *receiver-side* port of the shared edge, so a send
         # resolves (dst, dst_port) with two list indexes and no dict
-        # lookups (see Simulator._submit_send).
+        # lookups (see RoundCore._submit_send).
         self._degrees: Tuple[int, ...] = tuple(len(p) for p in self._ports)
         self._peer_ports: Tuple[Tuple[int, ...], ...] = tuple(
             tuple(self._port_of_neighbor[nbr][u] for nbr in self._ports[u])

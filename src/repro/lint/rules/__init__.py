@@ -12,7 +12,7 @@ RL105    builtin ``hash()`` (PYTHONHASHSEED-salted) in derivations
 RL201    columnar capability without a registered kernel (and inverse)
 RL202    delay-model entry point missing the ``delay_tolerant`` guard
 RL203    Paper-claim docstring block absent or contradicting the spec
-RL301    instance-method rebinding with a drifted signature
+RL301    instance-method rebinding with a drifted signature (bases resolved)
 =======  ==========================================================
 """
 

@@ -1,25 +1,36 @@
 """Scheduler-idiom safety: RL301.
 
-The model layer (PR 3), the aggregated-broadcast path (PR 4), and the
-tracer layer (PR 6) all use the same trick: a hot method is *rebound as
-an instance attribute* (``self._execute_round = self._execute_round_model``
-or ``self._dispatch_round = dispatch_obs`` for a closure wrapper), so
-the default path stays branch-free while variants swap in per instance.
-The trick is only sound if every rebound callable keeps the original
-method's signature — callers dispatch through the attribute without
-knowing which variant is live, so a drifted parameter list fails at
-call time, on the variant path only, where the default-path test suite
-never looks.  RL301 proves signature agreement at the AST level.
+The model layer, the aggregated-broadcast buffer, the CONGEST check and
+the tracer layer all use the same trick: a hot method is *rebound as an
+instance attribute* (``self._take_round = self._take_round_model`` or
+``self._rounds = rounds_obs`` for a closure wrapper), so the default
+path stays branch-free while variants swap in per instance.  The trick
+is only sound if every rebound callable keeps the original method's
+signature — callers dispatch through the attribute without knowing
+which variant is live, so a drifted parameter list fails at call time,
+on the variant path only, where the default-path test suite never
+looks.  RL301 proves signature agreement at the AST level.
+
+It is a project rule because the round core's backends split the idiom
+across modules: the original method often lives in a base class
+imported from another module of the linted tree (``Simulator`` rebinds
+``RoundCore._submit_send``), so each class's method table is resolved
+through its bases.  ``async def`` methods and closures count like
+``def``.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, Optional, Tuple
+import os
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
-from ..engine import ModuleInfo
-from ..registry import FileRule, register
+from ..engine import ModuleInfo, Project
+from ..registry import ProjectRule, register
 from ..violation import Violation
+
+Function = Union[ast.FunctionDef, ast.AsyncFunctionDef]
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def _signature(args: ast.arguments, *, drop_self: bool) -> Tuple:
@@ -56,8 +67,70 @@ def _render(sig: Tuple) -> str:
     return "(" + ", ".join(parts) + ")"
 
 
+def _imported_module(info: ModuleInfo, node: ast.ImportFrom) -> str:
+    """Absolute name of the module a ``from ... import`` reads from."""
+    if node.level == 0:
+        return node.module or ""
+    package = info.module.split(".")
+    if os.path.basename(info.path) != "__init__.py":
+        package = package[:-1]
+    package = package[:len(package) - (node.level - 1)]
+    return ".".join(package + ([node.module] if node.module else []))
+
+
+class _Classes:
+    """Class lookup across the linted tree, following imports."""
+
+    def __init__(self, project: Project) -> None:
+        self.project = project
+        self._tables: Dict[int, Dict[str, Function]] = {}
+
+    def find(self, module: str, name: str,
+             depth: int = 0) -> Optional[Tuple[ModuleInfo, ast.ClassDef]]:
+        """The class ``name`` as seen from ``module``: defined there, or
+        imported into it by ``from X import name`` (re-exports included)."""
+        info = self.project.get(module)
+        if info is None or depth > 8:
+            return None
+        for stmt in info.tree.body:
+            if isinstance(stmt, ast.ClassDef) and stmt.name == name:
+                return info, stmt
+        for stmt in info.tree.body:
+            if isinstance(stmt, ast.ImportFrom):
+                for alias in stmt.names:
+                    if (alias.asname or alias.name) == name:
+                        return self.find(_imported_module(info, stmt),
+                                         alias.name, depth + 1)
+        return None
+
+    def methods(self, info: ModuleInfo, cls: ast.ClassDef,
+                seen: Tuple[int, ...] = ()) -> Dict[str, Function]:
+        """Every method ``cls`` has, inherited ones included; class-body
+        aliases (``_deliver = _transmit``) name the aliased method."""
+        if id(cls) in self._tables:
+            return self._tables[id(cls)]
+        table: Dict[str, Function] = {}
+        if id(cls) not in seen:  # an import cycle ends the walk
+            for expr in reversed(cls.bases):
+                found = (self.find(info.module, expr.id)
+                         if isinstance(expr, ast.Name) else None)
+                if found is not None:
+                    table.update(self.methods(*found, seen=seen + (id(cls),)))
+        for stmt in cls.body:
+            if isinstance(stmt, FUNCTIONS):
+                table[stmt.name] = stmt
+            elif (isinstance(stmt, ast.Assign)
+                  and isinstance(stmt.value, ast.Name)
+                  and stmt.value.id in table):
+                for target in stmt.targets:
+                    if isinstance(target, ast.Name):
+                        table[target.id] = table[stmt.value.id]
+        self._tables[id(cls)] = table
+        return table
+
+
 @register
-class RebindSignatureRule(FileRule):
+class RebindSignatureRule(ProjectRule):
     """RL301: rebound methods must keep the original's signature."""
 
     code = "RL301"
@@ -65,22 +138,23 @@ class RebindSignatureRule(FileRule):
                "signature — callers dispatch through the attribute and "
                "would break on the rebound path only")
 
-    def check(self, info: ModuleInfo) -> Iterable[Violation]:
-        for node in ast.walk(info.tree):
-            if isinstance(node, ast.ClassDef):
-                yield from self._check_class(info, node)
+    def check_project(self, project: Project) -> Iterable[Violation]:
+        classes = _Classes(project)
+        for info in project.modules.values():
+            for node in ast.walk(info.tree):
+                if isinstance(node, ast.ClassDef):
+                    yield from self._check_class(
+                        info, node, classes.methods(info, node))
 
-    def _check_class(self, info: ModuleInfo,
-                     cls: ast.ClassDef) -> Iterable[Violation]:
-        methods: Dict[str, ast.FunctionDef] = {
-            stmt.name: stmt for stmt in cls.body
-            if isinstance(stmt, ast.FunctionDef)}
-        for method in methods.values():
+    def _check_class(self, info: ModuleInfo, cls: ast.ClassDef,
+                     methods: Dict[str, Function]) -> Iterable[Violation]:
+        own: List[Function] = [stmt for stmt in cls.body
+                               if isinstance(stmt, FUNCTIONS)]
+        for method in own:
             #: local function definitions seen so far in this method.
-            locals_defs: Dict[str, ast.FunctionDef] = {}
+            locals_defs: Dict[str, Function] = {}
             for stmt in ast.walk(method):
-                if (isinstance(stmt, ast.FunctionDef)
-                        and stmt is not method):
+                if isinstance(stmt, FUNCTIONS) and stmt is not method:
                     locals_defs[stmt.name] = stmt
                 if not isinstance(stmt, ast.Assign):
                     continue
@@ -114,8 +188,8 @@ class RebindSignatureRule(FileRule):
         return None
 
     def _rebound_signature(
-            self, value: ast.expr, methods: Dict[str, ast.FunctionDef],
-            locals_defs: Dict[str, ast.FunctionDef],
+            self, value: ast.expr, methods: Dict[str, Function],
+            locals_defs: Dict[str, Function],
     ) -> Optional[Tuple[str, Tuple]]:
         """Signature of the callable being bound, when it is provable."""
         # self.x = self.y  (method-variant rebinding)

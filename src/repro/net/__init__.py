@@ -14,9 +14,9 @@ Layering, bottom up:
   edge, sender/listener split, per-round frame buffers.
 * :mod:`repro.net.node` — one asyncio task per node executing shipped
   activations.
-* :mod:`repro.net.runner` — the round-synchronizing coordinator that
-  mirrors the simulator's state machine (the parity argument lives in
-  its docstring).
+* :mod:`repro.net.runner` — the socket transport under the shared round
+  core :class:`~repro.sim.rounds.RoundCore` (the parity argument lives
+  in its docstring).
 * :mod:`repro.net.engine` — request checking (the known-unsupported
   matrix) and entry point.
 

@@ -16,7 +16,7 @@ instead of hanging the whole run.
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Awaitable, Callable, Optional, Tuple
+from typing import Any, Awaitable, Callable, Tuple
 
 from .errors import TransportTimeout
 
@@ -26,7 +26,7 @@ class NodeRunner:
 
     def __init__(self, index: int) -> None:
         self.index = index
-        self._commands: "asyncio.Queue[Optional[Callable[[], Awaitable[Any]]]]" = (
+        self._commands: "asyncio.Queue[Callable[[], Awaitable[Any]]]" = (
             asyncio.Queue())
         self._replies: "asyncio.Queue[Tuple[bool, Any]]" = asyncio.Queue()
         #: test hook: when True the node accepts commands and never replies.
@@ -36,8 +36,6 @@ class NodeRunner:
     async def _loop(self) -> None:
         while True:
             command = await self._commands.get()
-            if command is None:
-                return
             if self.hang:
                 # Deliberately wedge: the peer is alive at the TCP level
                 # but never completes its activation.  Used by the
@@ -63,16 +61,6 @@ class NodeRunner:
         if not ok:
             raise value
         return value
-
-    async def stop(self) -> None:
-        """Shut the task down cleanly (end-of-run teardown)."""
-        if self.task.done():
-            return
-        await self._commands.put(None)
-        try:
-            await asyncio.wait_for(self.task, 1.0)
-        except asyncio.TimeoutError:
-            self.task.cancel()
 
     def kill(self) -> None:
         """Cancel the task immediately (crash injection)."""

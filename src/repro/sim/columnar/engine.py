@@ -102,7 +102,7 @@ class KernelRuntime:
                           count: int) -> None:
         """Count one payload fanned out over ``count`` ports of ``src``.
 
-        Same CONGEST check and counter updates as the Simulator's
+        Same CONGEST check and counter updates as the round core's
         ``_submit_multicast``.
         """
         self.congest_check(kind, size)

@@ -25,7 +25,7 @@ from .message import Payload
 from .status import Status
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .scheduler import Simulator
+    from .rounds import RoundCore
 
 
 class Delivery(NamedTuple):
@@ -38,7 +38,7 @@ class Delivery(NamedTuple):
 class NodeContext:
     """The node-local view handed to every :class:`NodeProcess` callback."""
 
-    def __init__(self, sim: "Simulator", index: int) -> None:
+    def __init__(self, sim: "RoundCore", index: int) -> None:
         self._sim = sim
         self._index = index
         self._uid = sim.network.id_of(index)

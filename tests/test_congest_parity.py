@@ -13,36 +13,59 @@ from repro.sim.scheduler import Simulator
 GRAPHS = {"ring:8": ring, "clique:8": complete}
 
 
-def _violation(graph, backend="event-loop", **overrides):
-    """The CongestViolation text of flood-max under a 1-bit budget."""
-    spec = _ensure_registry()["flood-max"]
+def _violation(algorithm, graph, backend="event-loop", **overrides):
+    """The CongestViolation text of ``algorithm`` under a 1-bit budget."""
+    spec = _ensure_registry()[algorithm]
     request = RunRequest(network=Network.build(GRAPHS[graph](8), seed=5),
                          factory=spec.factory, seed=5, knowledge={"n": 8},
-                         congest_bits=1, algorithm="flood-max", **overrides)
+                         congest_bits=1, algorithm=algorithm, **overrides)
     with pytest.raises(CongestViolation) as exc:
         BACKENDS[backend].run(request)
     return str(exc.value)
 
 
-@pytest.mark.parametrize("graph,backend,overrides", [
-    pytest.param("ring:8", "event-loop", {}, id="flat"),
-    pytest.param("clique:8", "event-loop", {}, id="aggregated"),
-    pytest.param("ring:8", "event-loop",
-                 {"model": ExecutionModel(delay=UniformDelay(2),
-                                          loss=BernoulliLoss(0.05))},
-                 id="modeled"),
-    pytest.param("ring:8", "net", {}, id="net", marks=pytest.mark.net),
-    pytest.param("clique:8", "columnar", {}, id="columnar"),
+MODELED = {"model": ExecutionModel(delay=UniformDelay(2),
+                                   loss=BernoulliLoss(0.05))}
+
+#: The plain event loop's first offender: flood-max only broadcasts, and
+#: clustering's first oversized payload is a point send.
+REFERENCE = {
+    ("flood-max", "ring:8"): "payload MaxIdMsg is ",
+    ("flood-max", "clique:8"): "payload MaxIdMsg is ",
+    ("clustering", "ring:8"):
+        "payload JoinMsg is 20 bits (> CONGEST limit of 1)",
+    ("clustering", "clique:8"):
+        "payload JoinMsg is 26 bits (> CONGEST limit of 1)",
+}
+
+
+@pytest.mark.parametrize("algorithm,graph,backend,overrides", [
+    pytest.param("flood-max", "ring:8", "event-loop", {}, id="flat"),
+    pytest.param("flood-max", "clique:8", "event-loop", {}, id="aggregated"),
+    pytest.param("flood-max", "ring:8", "event-loop", MODELED, id="modeled"),
+    pytest.param("flood-max", "ring:8", "net", {}, id="net",
+                 marks=pytest.mark.net),
+    pytest.param("flood-max", "clique:8", "columnar", {}, id="columnar"),
+    # No clustering kernel exists, so columnar stays flood-max only.
+    pytest.param("clustering", "ring:8", "event-loop", {},
+                 id="clustering-flat"),
+    pytest.param("clustering", "clique:8", "event-loop", {},
+                 id="clustering-aggregated"),
+    pytest.param("clustering", "ring:8", "event-loop", MODELED,
+                 id="clustering-modeled"),
+    pytest.param("clustering", "ring:8", "net", {}, id="clustering-net",
+                 marks=pytest.mark.net),
 ])
-def test_congest_violation_parity_every_path(graph, backend, overrides):
+def test_congest_violation_parity_every_path(algorithm, graph, backend,
+                                             overrides):
     """Every path raises the plain event loop's exact message.  The
     reference run records a timeline, which keeps a clique off the
     aggregated broadcast path."""
     if backend == "columnar":
         pytest.importorskip("numpy")
-    reference = _violation(graph, timeline=True)
-    assert reference.startswith("payload MaxIdMsg is ")
-    assert _violation(graph, backend, **overrides) == reference
+    reference = _violation(algorithm, graph, timeline=True)
+    assert reference.startswith(REFERENCE[algorithm, graph])
+    assert _violation(algorithm, graph, backend, **overrides) == reference
 
 
 def test_aggregated_case_takes_the_aggregated_path():

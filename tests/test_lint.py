@@ -548,6 +548,137 @@ def test_rl301_checks_local_closure_rebinds(tmp_path):
     assert codes(result) == ["RL301"]
 
 
+RL301_ASYNC_BAD = """\
+class Runner:
+    async def _execute(self, r):
+        pass
+
+    async def _execute_model(self, r, extra):
+        pass
+
+    def pick(self):
+        self._execute = self._execute_model
+
+    def wire(self):
+        inner = self._execute
+        async def execute_obs(r):
+            await inner(r)
+        self._execute = execute_obs
+"""
+
+
+def test_rl301_fires_on_drifted_async_rebind(tmp_path):
+    result = lint_tree(tmp_path, {"repro/net/r.py": RL301_ASYNC_BAD},
+                       select=["RL301"])
+    assert codes(result) == ["RL301"]
+    assert "self._execute_model" in result.violations[0].message
+
+
+def test_rl301_clean_on_matching_async_signatures(tmp_path):
+    src = RL301_ASYNC_BAD.replace("(self, r, extra)", "(self, r)")
+    result = lint_tree(tmp_path, {"repro/net/r.py": src}, select=["RL301"])
+    assert codes(result) == []
+
+
+def test_rl301_checks_async_closure_rebinds(tmp_path):
+    src = RL301_ASYNC_BAD.replace("(self, r, extra)", "(self, r)").replace(
+        "async def execute_obs(r):", "async def execute_obs(r, extra):")
+    result = lint_tree(tmp_path, {"repro/net/r.py": src}, select=["RL301"])
+    assert codes(result) == ["RL301"]
+    assert "'execute_obs'" in result.violations[0].message
+
+
+RL301_BASE = """\
+class Core:
+    def _send(self, src, port, payload):
+        pass
+
+    def _rounds(self, limit):
+        pass
+
+    def _wrap(self):
+        inner = self._send
+        def send_checked(src, port, payload):
+            inner(src, port, payload)
+        self._send = send_checked
+"""
+
+RL301_SUB = """\
+from .core import Core
+
+
+class Backend(Core):
+    def _send_fast(self, src, port):
+        pass
+
+    def pick(self):
+        self._send = self._send_fast
+"""
+
+
+def test_rl301_resolves_base_class_from_another_module(tmp_path):
+    result = lint_tree(tmp_path, {"repro/sim/core.py": RL301_BASE,
+                                  "repro/sim/backend.py": RL301_SUB},
+                       select=["RL301"])
+    assert codes(result) == ["RL301"]
+    assert result.violations[0].path.endswith("backend.py")
+
+
+def test_rl301_clean_on_matching_inherited_signature(tmp_path):
+    sub = RL301_SUB.replace("(self, src, port)", "(self, src, port, payload)")
+    result = lint_tree(tmp_path, {"repro/sim/core.py": RL301_BASE,
+                                  "repro/sim/backend.py": sub},
+                       select=["RL301"])
+    assert codes(result) == []
+
+
+def test_rl301_resolves_absolute_and_reexported_bases(tmp_path):
+    """``from repro.sim import Core`` through a package re-export."""
+    sub = RL301_SUB.replace("from .core import Core",
+                            "from repro.sim import Core")
+    result = lint_tree(tmp_path, {
+        "repro/sim/__init__.py": "from .core import Core\n",
+        "repro/sim/core.py": RL301_BASE,
+        "repro/net/backend.py": sub,
+    }, select=["RL301"])
+    assert codes(result) == ["RL301"]
+
+
+def test_rl301_acceptance_on_real_tree(tmp_path):
+    """Copy the real src/repro; one drifted inherited variant and one
+    drifted async closure each give exactly one violation."""
+    def tree(edit=None):
+        files = {}
+        for path in sorted((REPO_SRC / "repro").rglob("*.py")):
+            rel = str(path.relative_to(REPO_SRC))
+            files[rel] = path.read_text()
+        if edit is not None:
+            rel, old, new = edit
+            assert old in files[rel]
+            files[rel] = files[rel].replace(old, new, 1)
+        return files
+
+    clean = lint_tree(tmp_path / "clean", tree(), select=["RL301"])
+    assert codes(clean) == []
+
+    inherited = lint_tree(tmp_path / "inherited", tree((
+        "repro/sim/scheduler.py",
+        "def _submit_send_agg(self, src: int, port: int, payload: Payload)",
+        "def _submit_send_agg(self, src: int, port: int)")),
+        select=["RL301"])
+    assert codes(inherited) == ["RL301"]
+    assert "self._submit_send_agg" in inherited.violations[0].message
+
+    wrapped = lint_tree(tmp_path / "wrapped", tree((
+        "repro/sim/rounds.py",
+        "def rounds_obs(max_rounds: Optional[int],\n"
+        "                       raise_on_limit: bool)",
+        "def rounds_obs(max_rounds: Optional[int])")),
+        select=["RL301"])
+    assert codes(wrapped) == ["RL301"]
+    assert "'rounds_obs'" in wrapped.violations[0].message
+
+
 # ----------------------------------------------------------------------
 # RL001 stale suppressions
 # ----------------------------------------------------------------------

@@ -522,13 +522,27 @@ class TestGoldenParityUntouched:
         assert observed.metrics.summary() == fast.metrics.summary()
         assert observed.statuses == fast.statuses
 
+    #: Every method the model, CONGEST, aggregation or obs paths rebind.
+    HOT_METHODS = ("_submit_send", "_submit_multicast", "_submit_broadcast",
+                   "_next_event_round", "_execute_round", "_activate",
+                   "_rounds", "_round_prelude", "_take_round", "_deliver")
+
     def test_untraced_simulator_has_no_obs_wrappers(self):
+        from repro.net.runner import NetRunner
+
         net = api.make_network(parse_graph_spec("ring:8"), seed=0)
         spec = api._ensure_registry()["trivial"]
-        sim = Simulator(net, spec.factory, seed=0,
-                        knowledge={"n": net.num_nodes})
-        # Instance-method rebinding only happens under observation: the
-        # default path must fall through to the class methods.
-        assert "_dispatch_round" not in sim.__dict__
-        assert sim._tracer is None
-        assert sim.metrics.timeline is None
+        kwargs = dict(seed=0, knowledge={"n": net.num_nodes})
+        # Instance-method rebinding only happens on a variant path: an
+        # untraced, unlimited, fault-free run of either backend must
+        # fall through to the class methods.  Constructing a NetRunner
+        # opens no socket and needs no event loop.
+        for runner in (Simulator(net, spec.factory, **kwargs),
+                       NetRunner(net, spec.factory, **kwargs)):
+            bound = [name for name in self.HOT_METHODS
+                     if name in runner.__dict__]
+            assert bound == [], type(runner).__name__
+            assert runner._tracer is None
+            assert runner.metrics.timeline is None
+        traced = Simulator(net, spec.factory, timeline=True, **kwargs)
+        assert {"_rounds", "_round_prelude"} <= traced.__dict__.keys()

@@ -119,7 +119,7 @@ def run_trials(topology: Topology,
     ``batch`` controls the trial axis: ``None`` (the default) hands the
     whole axis to the backend as one
     :class:`~repro.sim.contract.BatchRunRequest` whenever no tracer is
-    attached — backends without a vectorized batch path run the exact
+    attached — backends without a genuinely batched path run the exact
     sequential expansion, so every trial's numbers are identical either
     way and batching is purely a speed knob.  ``False`` forces the
     per-trial loop (useful for timing A/Bs); ``True`` insists on the

@@ -650,7 +650,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "batched cell groups are reported distinctly")
     sweep.add_argument("--no-batch", action="store_true",
                        help="never group same-configuration trials into "
-                            "one vectorized engine call (results are "
+                            "one batched engine call (results are "
                             "identical either way; this is a speed knob)")
 
     bench = sub.add_parser(

@@ -37,6 +37,11 @@ from .tasks import resolve_task
 
 log = get_logger("experiments")
 
+#: Why a multi-trial group ran per cell when its cells cannot be
+#: expressed as one batch request (see ``plan_elect_group``).
+UNPLANNED = ("cells share no batch request (seeded graphs redraw the "
+             "topology per trial; malformed configs run per cell)")
+
 
 def execute_cell(cell: CellSpec) -> Dict[str, Any]:
     """Run one cell to completion (also the worker entry point)."""
@@ -164,8 +169,8 @@ class Runner:
         self.workers = workers
         self._mp_context = mp_context
         #: Run same-configuration ``elect`` trials as one batched engine
-        #: call when the cell's backend advertises a vectorized trial
-        #: axis.  Purely a speed knob: per-cell seeds, metrics rows, and
+        #: call when the cell's backend advertises a genuinely batched
+        #: path.  Purely a speed knob: per-cell seeds, metrics rows, and
         #: cache digests are identical either way (the batch contract is
         #: bit-exactness with the sequential expansion).
         self.batch_trials = batch_trials
@@ -205,14 +210,15 @@ class Runner:
 
         cell_walls: List[float] = []
         units: List[List[int]] = []
+        unbatched: Dict[str, int] = {}
         batched_groups = batched_trials = 0
         if misses:
-            units = self._plan_units(cells, misses)
+            units, unbatched = self._plan_units(cells, misses)
             batched_groups = sum(1 for u in units if len(u) > 1)
             batched_trials = sum(len(u) for u in units if len(u) > 1)
             if batched_groups:
                 report(f"{spec.name}: batching {batched_trials} trials "
-                       f"as {batched_groups} vectorized group"
+                       f"as {batched_groups} batched group"
                        f"{'s' if batched_groups != 1 else ''}")
             # Results stream back in input order and are persisted one by
             # one, so an interrupted sweep keeps every finished cell.
@@ -237,6 +243,7 @@ class Runner:
             workers=self._pool_size(len(units)),
             batched_groups=batched_groups,
             batched_trials=batched_trials,
+            unbatched=unbatched,
             cache=self.cache.stats() if self.cache is not None else None)
         log.debug("%s: %s", spec.name, telemetry.summary())
         return SweepResult(spec=spec,
@@ -244,22 +251,26 @@ class Runner:
                            telemetry=telemetry)
 
     # ------------------------------------------------------------------
-    def _plan_units(self, cells: List[CellSpec],
-                    misses: List[int]) -> List[List[int]]:
-        """Partition the miss list into execution units, in order.
+    def _plan_units(self, cells: List[CellSpec], misses: List[int]
+                    ) -> Tuple[List[List[int]], Dict[str, int]]:
+        """Partition the miss list into execution units, in order, and
+        count the cells of every multi-trial group left unbatched, by
+        reason.
 
         A unit is a list of cell indices: singletons run through the
         per-cell task function exactly as before; longer units are runs
         of same-configuration ``elect`` trials whose backend advertises
-        a *genuinely* vectorized batch path
-        (:meth:`EngineBackend.supports_batch` returns ``None``) and
-        execute as one ``run_batch`` call.  Backends without one — the
-        default event loop included — never group, so batching changes
-        nothing unless it actually is a speedup.
+        a *genuinely* batched path (:meth:`EngineBackend.supports_batch`
+        returns ``None``) and execute as one ``run_batch`` call.  Other
+        groups run per cell under the backend's ``supports_batch``
+        reason (or :data:`UNPLANNED` when the cells share no batch
+        request), so batching changes nothing unless it actually is a
+        speedup.
         """
         from .tasks import plan_elect_group
 
         units: List[List[int]] = []
+        unbatched: Dict[str, int] = {}
         i = 0
         while i < len(misses):
             cell = cells[misses[i]]
@@ -271,18 +282,19 @@ class Runner:
                        and cells[misses[j]].group_key() == key):
                     j += 1
             group = [misses[k] for k in range(i, j)]
-            batched = False
-            if len(group) >= 2:
-                request = plan_elect_group([cells[k] for k in group])
-                batched = (request is not None and
-                           resolve_backend(cell.backend)
-                           .supports_batch(request) is None)
-            if batched:
+            i = j
+            if len(group) == 1:
+                units.append(group)
+                continue
+            request = plan_elect_group([cells[k] for k in group])
+            reason = (UNPLANNED if request is None else
+                      resolve_backend(cell.backend).supports_batch(request))
+            if reason is None:
                 units.append(group)
             else:
                 units.extend([k] for k in group)
-            i = j
-        return units
+                unbatched[reason] = unbatched.get(reason, 0) + len(group)
+        return units, unbatched
 
     def _pool_size(self, pending: int) -> int:
         """Worker processes a batch of ``pending`` units would use."""

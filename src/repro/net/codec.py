@@ -76,14 +76,6 @@ async def read_raw(reader: asyncio.StreamReader) -> Optional[bytes]:
         return None
 
 
-async def read_frame(reader: asyncio.StreamReader) -> Optional[Frame]:
-    """Read and decode one message frame; ``None`` on EOF / reset."""
-    body = await read_raw(reader)
-    if body is None:
-        return None
-    return decode_body(body)
-
-
 async def read_hello(reader: asyncio.StreamReader) -> Optional[int]:
     """Read the dialer-index handshake; ``None`` on EOF / reset."""
     body = await read_raw(reader)

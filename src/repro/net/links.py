@@ -15,22 +15,38 @@ round (the simulator's bookkeeping tells it), and ``expect`` blocks on
 the arrival event until that many frames are buffered.  Frames for
 *later* rounds arriving early is fine — they sit in their own buffer
 until their round comes up.
+
+A :class:`Mesh` is the endpoints of one topology together with the
+event loop their sockets are bound to (transports never move between
+loops).  It has three operations — open (the constructor), run a
+coroutine, close — and one close path, taken by single runs, by trial
+batches that share the mesh, and by a handshake that fails halfway.
+No round depends on its links being new, so any number of runs can
+execute on one mesh in turn, provided each leaves the round buffers
+empty (:meth:`NodeEndpoint.check_clean` verifies it).
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Any, Awaitable, Dict, List, Optional, Set, TypeVar
 
-from ..graphs.network import Network
+from ..graphs.topology import Topology
 from . import codec
-from .errors import TransportTimeout
+from .errors import TransportError, TransportTimeout
 
 LOOPBACK = "127.0.0.1"
 
+T = TypeVar("T")
+
 
 class NodeEndpoint:
-    """One node's sockets: a listener plus per-peer connections."""
+    """One node's sockets: a listener plus per-peer connections.
+
+    Built only inside a coroutine running on the mesh's loop: on
+    Python 3.9 the arrival and ready events bind to the loop that is
+    current when they are created.
+    """
 
     def __init__(self, index: int) -> None:
         self.index = index
@@ -110,6 +126,17 @@ class NodeEndpoint:
         """Remove and return all frames buffered for ``delivery_round``."""
         return self._buffers.pop(delivery_round, [])
 
+    def check_clean(self) -> None:
+        """Refuse to start a run while an earlier run's frames are
+        still buffered here: they would satisfy this run's barrier.
+        Resets the wire-byte counters for the run about to start."""
+        if self._buffers:
+            r = min(self._buffers)
+            raise TransportError(
+                f"node {self.index} holds {len(self._buffers[r])} stale "
+                f"frame(s) for round {r} from an earlier run on this mesh")
+        self.wire_bytes_out = self.wire_bytes_in = 0
+
     # -- sender side ---------------------------------------------------
 
     def send(self, peer: int, frame: bytes) -> None:
@@ -149,59 +176,97 @@ class NodeEndpoint:
         if self.server is not None:
             self.server.close()
 
-    async def close(self) -> None:
-        self.kill()
-        for task in self.reader_tasks:
-            try:
-                await task
-            except asyncio.CancelledError:
-                pass
-            except Exception:
-                pass
-        if self.server is not None:
-            await self.server.wait_closed()
 
+class Mesh:
+    """One loopback TCP connection per edge of ``topology``, and the
+    event loop that owns them for the mesh's whole life.
 
-async def open_mesh(network: Network, timeout: float) -> List[NodeEndpoint]:
-    """Build one loopback TCP connection per undirected edge.
-
-    For every edge ``(u, v)`` with ``u < v``, node ``u`` dials node
-    ``v``'s listener and announces itself with a hello frame; both sides
-    then share the connection full-duplex.
+    The constructor opens the mesh (closing whatever it opened if the
+    handshake fails), :meth:`run` executes one coroutine on the mesh's
+    loop, and :meth:`close` tears everything down once.  Only the
+    topology matters: every network built from it has the same edges
+    between the same node indices, whatever its IDs and port order.
     """
-    n = network.num_nodes
-    endpoints = [NodeEndpoint(i) for i in range(n)]
 
-    dial_pairs: List[Tuple[int, int]] = []
-    for u in range(n):
-        for port in range(network.degree(u)):
-            v = network.neighbor_via_port(u, port)
-            if u < v:
-                dial_pairs.append((u, v))
-
-    inbound: Dict[int, int] = {}
-    for _, v in dial_pairs:
-        inbound[v] = inbound.get(v, 0) + 1
-    for ep in endpoints:
-        ep._expected_dials = inbound.get(ep.index, 0)
-        if ep._expected_dials == 0:
-            ep._ready.set()
-
-    for ep in endpoints:
-        await ep.start()
-
-    async def dial(u: int, v: int) -> None:
-        reader, writer = await asyncio.open_connection(
-            LOOPBACK, endpoints[v].port)
-        writer.write(codec.encode_hello(u))
-        await writer.drain()
-        endpoints[u].attach(v, reader, writer)
-
-    await asyncio.gather(*(dial(u, v) for u, v in dial_pairs))
-    for ep in endpoints:
+    def __init__(self, topology: Topology, timeout: float) -> None:
+        self.endpoints: List[NodeEndpoint] = []
+        self._loop = asyncio.new_event_loop()
         try:
-            await asyncio.wait_for(ep._ready.wait(), timeout)
-        except asyncio.TimeoutError:
-            raise TransportTimeout(ep.index, -1, timeout,
-                                   what="mesh handshake") from None
-    return endpoints
+            self.run(self._open(topology, timeout))
+        except BaseException:
+            self.close()
+            raise
+
+    def __enter__(self) -> "Mesh":
+        return self
+
+    def __exit__(self, *exc: Any) -> None:
+        self.close()
+
+    def run(self, coro: Awaitable[T]) -> T:
+        """Run ``coro`` to completion on the mesh's loop."""
+        return self._loop.run_until_complete(coro)
+
+    async def _open(self, topology: Topology, timeout: float) -> None:
+        """For every edge ``(u, v)`` with ``u < v``, node ``u`` dials
+        node ``v``'s listener and announces itself with a hello frame;
+        both sides then share the connection full-duplex."""
+        n = topology.num_nodes
+        self.endpoints = endpoints = [NodeEndpoint(i) for i in range(n)]
+        dial_pairs = [(u, v) for u in range(n)
+                      for v in topology.neighbors(u) if u < v]
+        for _, v in dial_pairs:
+            endpoints[v]._expected_dials += 1
+        for ep in endpoints:
+            if ep._expected_dials == 0:
+                ep._ready.set()
+            await ep.start()
+
+        async def dial(u: int, v: int) -> None:
+            reader, writer = await asyncio.open_connection(
+                LOOPBACK, endpoints[v].port)
+            endpoints[u].attach(v, reader, writer)
+            writer.write(codec.encode_hello(u))
+            await writer.drain()
+
+        await asyncio.gather(*(dial(u, v) for u, v in dial_pairs))
+        for ep in endpoints:
+            try:
+                await asyncio.wait_for(ep._ready.wait(), timeout)
+            except asyncio.TimeoutError:
+                raise TransportTimeout(ep.index, -1, timeout,
+                                       what="mesh handshake") from None
+
+    async def _close_endpoints(self) -> None:
+        for endpoint in self.endpoints:
+            endpoint.kill()
+        readers = [task for endpoint in self.endpoints
+                   for task in endpoint.reader_tasks]
+        if readers:
+            await asyncio.gather(*readers, return_exceptions=True)
+        for endpoint in self.endpoints:
+            if endpoint.server is not None:
+                try:
+                    await endpoint.server.wait_closed()
+                except Exception:
+                    pass
+
+    def close(self) -> None:
+        """Close every socket, then do what ``asyncio.run`` does on
+        exit: cancel leftover tasks, shut down async generators, close
+        the loop.  Idempotent."""
+        loop = self._loop
+        if loop.is_closed():
+            return
+        try:
+            loop.run_until_complete(self._close_endpoints())
+            leftovers = [task for task in asyncio.all_tasks(loop)
+                         if not task.done()]
+            for task in leftovers:
+                task.cancel()
+            if leftovers:
+                loop.run_until_complete(
+                    asyncio.gather(*leftovers, return_exceptions=True))
+            loop.run_until_complete(loop.shutdown_asyncgens())
+        finally:
+            loop.close()

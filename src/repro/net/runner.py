@@ -33,6 +33,12 @@ a TCP socket, read back by the receiver's reader task, and unpickled;
 crash injection kills the victim's tasks and closes its sockets; a
 wedged peer trips the round barrier's timeout instead of deadlocking
 the run.
+
+A run executes on a :class:`~repro.net.links.Mesh` — its own, or one a
+trial batch shares — with node tasks of its own, and leaves the mesh's
+round buffers as empty as it found them: a run that stops at its round
+ceiling still has frames booked for the next round, and collects and
+drops them before it returns (:meth:`NetRunner._drain`).
 """
 
 from __future__ import annotations
@@ -48,7 +54,7 @@ from ..sim.process import Delivery
 from ..sim.rounds import RoundCore
 from ..sim.wakeup import WakeupModel
 from .codec import encode_frame
-from .links import NodeEndpoint, open_mesh
+from .links import Mesh, NodeEndpoint
 from .node import NodeRunner
 
 DEFAULT_ROUND_TIMEOUT = 30.0
@@ -72,7 +78,7 @@ class NetRunner(RoundCore):
                          congest_bits=congest_bits, tracer=tracer)
         self._round_timeout = round_timeout
         self._hang_nodes = set(hang_nodes)
-        # Transport state, materialized inside run_async (needs a loop).
+        # Transport state, materialized inside run_on (needs a loop).
         self._endpoints: List[NodeEndpoint] = []
         self._runners: List[NodeRunner] = []
         self._alive: List[bool] = [True] * network.num_nodes
@@ -180,46 +186,66 @@ class NetRunner(RoundCore):
         self._endpoints[node].kill()
 
     # ------------------------------------------------------------------
-    async def run_async(self, max_rounds: Optional[int] = None, *,
-                        raise_on_limit: bool = False) -> RunResult:
-        """Open the mesh, execute to quiescence, tear everything down."""
+    def run(self, max_rounds: Optional[int] = None, *,
+            mesh: Optional[Mesh] = None) -> RunResult:
+        """Execute on ``mesh``, or on a mesh of this run's own that is
+        opened before the run and closed after it."""
+        if mesh is not None:
+            return mesh.run(self.run_on(mesh.endpoints, max_rounds))
+        with Mesh(self.network.topology, self._round_timeout) as own:
+            return own.run(self.run_on(own.endpoints, max_rounds))
+
+    async def run_on(self, endpoints: List[NodeEndpoint],
+                     max_rounds: Optional[int] = None) -> RunResult:
+        """Execute to quiescence on an open mesh's endpoints.
+
+        Starts this run's node tasks and stops them at the end; the
+        endpoints must hold no frames of an earlier run, and are left
+        holding none of this one's.
+        """
         self._start()
-        self._endpoints = await open_mesh(self.network, self._round_timeout)
+        for endpoint in endpoints:
+            endpoint.check_clean()
+        self._endpoints = endpoints
         self._runners = [NodeRunner(i)
                          for i in range(self.network.num_nodes)]
         for idx in self._hang_nodes:
             self._runners[idx].hang = True
         try:
-            for r in self._rounds(max_rounds, raise_on_limit):
+            for r in self._rounds(max_rounds, False):
                 await self._execute_round(r)
+            await self._drain()
             return self._result()
         finally:
-            await self._teardown()
-
-    async def _teardown(self) -> None:
-        for runner in self._runners:
-            if not runner.task.done():
+            for runner in self._runners:
                 runner.task.cancel()
-        if self._runners:
             await asyncio.gather(*(runner.task for runner in self._runners),
                                  return_exceptions=True)
-        for endpoint in self._endpoints:
-            endpoint.kill()
-        reader_tasks = [task for endpoint in self._endpoints
-                        for task in endpoint.reader_tasks]
-        if reader_tasks:
-            await asyncio.gather(*reader_tasks, return_exceptions=True)
-        for endpoint in self._endpoints:
-            if endpoint.server is not None:
-                try:
-                    await endpoint.server.wait_closed()
-                except Exception:
-                    pass
+
+    async def _drain(self) -> None:
+        """Collect and drop the frames a truncated run left booked.
+
+        Reads the core's flat booking map directly, never through
+        ``_take_round``: on modeled runs that is the accounting variant,
+        which would count the frames as delivered and fire due crashes.
+        Receivers that crashed are skipped — frames addressed to them
+        were never written.
+        """
+        r = self._delivery_round
+        if r is None:
+            return
+        for dst in sorted(self._inboxes):
+            if self._alive[dst]:
+                endpoint = self._endpoints[dst]
+                await endpoint.expect(r, len(self._inboxes[dst]),
+                                      self._round_timeout)
+                endpoint.take(r)
 
     # -- transport telemetry -------------------------------------------
     @property
     def wire_bytes(self) -> Tuple[int, int]:
-        """(bytes written, bytes read) across all endpoints."""
+        """(bytes written, bytes read) across all endpoints, counted
+        from the start of this run."""
         out = sum(e.wire_bytes_out for e in self._endpoints)
         into = sum(e.wire_bytes_in for e in self._endpoints)
         return out, into

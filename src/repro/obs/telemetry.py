@@ -30,10 +30,14 @@ class RunnerTelemetry:
     #: Per-executed-cell wall clocks, in grid order (worker-side).
     cell_walls: List[float] = field(default_factory=list)
     workers: int = 1
-    #: Cell groups executed as one vectorized batch call (trial-batched
-    #: columnar execution), and the cells they covered.
+    #: Cell groups executed as one batched backend call (a columnar
+    #: kernel over the trial axis, or trials sharing one socket mesh),
+    #: and the cells they covered.
     batched_groups: int = 0
     batched_trials: int = 0
+    #: Cells of multi-trial groups that ran per cell, by the reason
+    #: their group was not batched.
+    unbatched: Dict[str, int] = field(default_factory=dict)
     #: Result-cache counters (hits/misses/appends), when a cache is on.
     cache: Optional[Dict[str, int]] = None
 
@@ -63,6 +67,8 @@ class RunnerTelemetry:
             parts.append(f"{self.batched_trials} trials batched as "
                          f"{self.batched_groups} group"
                          f"{'s' if self.batched_groups != 1 else ''}")
+        for reason, count in sorted(self.unbatched.items()):
+            parts.append(f"{count} trials unbatched: {reason}")
         util = self.utilization
         if util is not None:
             parts.append(f"utilization {util:.0%}")
@@ -81,6 +87,7 @@ class RunnerTelemetry:
                             else round(self.utilization, 4)),
             "batched_groups": self.batched_groups,
             "batched_trials": self.batched_trials,
+            "unbatched": dict(sorted(self.unbatched.items())),
             "cache": self.cache,
         }
 

@@ -106,8 +106,10 @@ class EngineBackend:
     # -- trial batching ----------------------------------------------------
     def supports_batch(self, request: BatchRunRequest) -> Optional[str]:
         """``None`` if this backend executes ``request`` through a
-        *genuinely batched* path (one vectorized computation over the
-        whole trial axis); otherwise the reason it would fall back.
+        *genuinely batched* path — one vectorized computation over the
+        whole trial axis (columnar), or trials sharing costly per-batch
+        setup such as one socket mesh (net); otherwise the reason it
+        would fall back.
 
         Unlike :meth:`supports`, a non-``None`` reason here does not
         make :meth:`run_batch` illegal — it merely signals that the
@@ -120,12 +122,21 @@ class EngineBackend:
     def run_batch(self, request: BatchRunRequest) -> List[RunResult]:
         """Run every trial and return their results in trial order.
 
-        The default implementation is the sequential expansion itself
-        (:func:`expand_batch` piped through :meth:`run`), so any
-        backend is batch-callable; backends with a vectorized path
-        override this and must stay bit-identical to the default.
+        A request :meth:`supports_batch` accepts takes the backend's
+        genuinely batched path (:meth:`_run_batched`), which must stay
+        bit-identical to the sequential expansion; any other request
+        takes the expansion itself (:func:`expand_batch` piped through
+        :meth:`run`, so each trial is still ``check()``-ed and an
+        unsupported request refuses loudly instead of degrading).
         """
+        if self.supports_batch(request) is None:
+            return self._run_batched(request)
         return [self.run(single) for single in expand_batch(request)]
+
+    def _run_batched(self, request: BatchRunRequest) -> List[RunResult]:
+        """The genuinely batched path, for requests
+        :meth:`supports_batch` accepts."""
+        raise NotImplementedError
 
 
 class EventLoopBackend(EngineBackend):
@@ -181,11 +192,7 @@ class ColumnarBackend(EngineBackend):
         from .columnar import batch
         return batch.supports_batch(request)
 
-    def run_batch(self, request: BatchRunRequest) -> List[RunResult]:
-        if self.supports_batch(request) is not None:
-            # Per-trial columnar path (each run still check()ed, so an
-            # unsupported request refuses loudly instead of degrading).
-            return super().run_batch(request)
+    def _run_batched(self, request: BatchRunRequest) -> List[RunResult]:
         from .columnar import batch
         return batch.run_batch(request)
 
@@ -208,6 +215,14 @@ class NetBackend(EngineBackend):
         self.check(request)
         from ..net import engine
         return engine.run(request)
+
+    def supports_batch(self, request: BatchRunRequest) -> Optional[str]:
+        from ..net import engine
+        return engine.supports_batch(request)
+
+    def _run_batched(self, request: BatchRunRequest) -> List[RunResult]:
+        from ..net import engine
+        return engine.run_batch(request)
 
 
 #: Registry of available backends, keyed by canonical name.

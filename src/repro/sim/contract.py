@@ -79,9 +79,10 @@ class BatchRunRequest:
 
     and every backend's ``run_batch`` must return results bit-identical
     to running those T requests sequentially (same Metrics counters,
-    statuses, outputs, networks).  A backend with a vectorized batch
-    path (state arrays with a leading ``(T,)`` dimension, IDs for all
-    trials drawn in C) advertises it via
+    statuses, outputs, networks).  A backend with a genuinely batched
+    path — vectorized state arrays with a leading ``(T,)`` dimension
+    and IDs for all trials drawn in C (columnar), or one socket mesh
+    shared by all trials (net) — advertises it via
     :meth:`~repro.sim.backend.EngineBackend.supports_batch`; everyone
     else falls back to the sequential expansion — batching is a speed
     seam, never a semantics seam.

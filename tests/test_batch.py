@@ -21,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 from repro.analysis.stats import _trial_seed, run_trials
 from repro.api import _ensure_registry
 from repro.experiments import ExperimentSpec, Runner
+from repro.experiments.runner import UNPLANNED
 from repro.graphs.ids import RandomIds, SequentialIds
 from repro.graphs.network import Network
 from repro.graphs.specs import parse_graph_spec
@@ -219,6 +220,24 @@ class TestRunnerGrouping:
         assert grouped.telemetry.batched_groups == 1
         assert grouped.telemetry.batched_trials == 6
 
+    def test_fully_batched_sweep_reports_no_reasons(self, tmp_path):
+        telemetry = Runner(cache_dir=str(tmp_path)).run(
+            ExperimentSpec(**self.SPEC_KWARGS)).telemetry
+        assert telemetry.batched_trials == 6
+        assert telemetry.unbatched == {}
+        assert telemetry.to_json()["unbatched"] == {}
+        assert "unbatched" not in telemetry.summary()
+
+    def test_congest_group_reports_its_reason(self, tmp_path):
+        spec = ExperimentSpec(**{**self.SPEC_KWARGS, "trials": 3,
+                                 "congest_bits": 10 ** 6})
+        telemetry = Runner(cache_dir=str(tmp_path)).run(spec).telemetry
+        reason = COLUMNAR.supports_batch(batch_request(
+            "flood-max", "clique:96", 3, congest_bits=10 ** 6))
+        assert reason is not None and "CONGEST" in reason
+        assert telemetry.batched_groups == 0
+        assert telemetry.unbatched == {reason: 3}
+
     def test_grouped_rows_fill_the_same_cache(self, tmp_path):
         spec = ExperimentSpec(**self.SPEC_KWARGS)
         Runner(cache_dir=str(tmp_path)).run(spec)
@@ -240,12 +259,15 @@ class TestRunnerGrouping:
                                  "backend": None, "trials": 3})
         sweep = Runner(cache_dir=str(tmp_path)).run(spec)
         assert sweep.telemetry.batched_groups == 0
+        assert sweep.telemetry.unbatched == {
+            "backend 'event-loop' has no batched execution path": 3}
 
     def test_seeded_graphs_never_group(self, tmp_path):
         spec = ExperimentSpec(**{**self.SPEC_KWARGS,
                                  "graphs": ["er:40:0.3"], "trials": 3})
         sweep = Runner(cache_dir=str(tmp_path)).run(spec)
         assert sweep.telemetry.batched_groups == 0
+        assert sweep.telemetry.unbatched == {UNPLANNED: 3}
 
     def test_progress_note_reports_batched_cells(self, tmp_path):
         calls = []

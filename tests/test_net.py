@@ -19,27 +19,46 @@ mid-round yet leave ``crashed_indices`` equal to the simulator's; a
 deliberately wedged peer must trip the round barrier's timeout with a
 clean :class:`TransportTimeout` naming the node, inside a hard
 wall-clock budget.
+
+Trial batching: the trials of a batch share one mesh, so every batched
+trial must still equal the sequential expansion and the event loop —
+truncated modeled runs included, which leave frames booked that the
+run must collect before the next trial starts — and every failure path
+must close every socket it opened.
 """
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
+import gc
 import signal
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from parity_cases import build_cases, case_name, cases_for_backend, run_case
+from repro.analysis.stats import run_trials
 from repro.api import _ensure_registry, run_algorithm
+from repro.experiments import ExperimentSpec, Runner
 from repro.graphs import Network, complete, ring
+from repro.graphs.ids import SequentialIds
+from repro.graphs.specs import parse_graph_spec
 from repro.graphs.topology import CliqueTopology
-from repro.sim.backend import BACKENDS, RunRequest
-from repro.sim.errors import BackendUnsupported
+from repro.sim.backend import BACKENDS, RunRequest, expand_batch
+from repro.sim.contract import BatchRunRequest
+from repro.sim.errors import BackendUnsupported, CongestViolation
 from repro.sim.models import (BernoulliLoss, ExecutionModel, ExplicitCrashes,
                               FixedDelay)
-from repro.net import TransportTimeout
+from repro.net import TransportError, TransportTimeout, codec
 from repro.net import engine as net_engine
+from repro.net.links import Mesh
 
 pytestmark = pytest.mark.net
+
+NET = BACKENDS["net"]
+EVENT_LOOP = BACKENDS["event-loop"]
 
 NET_CASES = cases_for_backend("net")
 NET_CASE_NAMES = [case_name(c) for c in NET_CASES]
@@ -48,6 +67,68 @@ DELAY_TOLERANT = sorted(name for name, spec in _ensure_registry().items()
                         if spec.delay_tolerant)
 SYNC_ONLY = sorted(name for name, spec in _ensure_registry().items()
                    if not spec.delay_tolerant)
+
+
+def fingerprint(result):
+    """Every observable of a run: outcome, per-node state, and every
+    counter, delivered and dropped included."""
+    m = result.metrics
+    return {
+        **m.summary(),
+        "activations": m.activations,
+        "per_kind": dict(m.per_kind),
+        "per_node_sent": dict(m.per_node_sent),
+        "crashed_nodes": list(m.crashed_nodes),
+        "statuses": [s.name for s in result.statuses],
+        "outputs": result.outputs,
+        "truncated": result.truncated,
+        "wake_schedule": result.wake_schedule,
+        "ids": list(result.network.ids),
+    }
+
+
+def batch_request(algorithm, graph, trials=3, *, model=None,
+                  max_rounds=None):
+    """``trials`` seeds of one configuration, knowledge per the
+    algorithm's needs (sequential IDs keep dfs-agent's spans small)."""
+    topology = parse_graph_spec(graph)
+    spec = _ensure_registry()[algorithm]
+    known = {"n": topology.num_nodes, "m": topology.num_edges,
+             "D": topology.diameter()}
+    return BatchRunRequest(
+        topology=topology, factory=spec.factory,
+        seeds=[(40 + t, 80 + t) for t in range(trials)],
+        knowledge={key: known[key] for key in spec.needs},
+        ids=SequentialIds() if algorithm == "dfs-agent" else None,
+        model=model, max_rounds=max_rounds, algorithm=algorithm)
+
+
+@contextlib.contextmanager
+def wall_budget(seconds):
+    """Fail instead of hanging if the block outlives ``seconds``."""
+    def too_slow(signum, frame):  # pragma: no cover - only on failure
+        raise AssertionError("round-barrier timeout did not fire "
+                             "within the wall-clock budget")
+
+    old = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+@contextlib.contextmanager
+def no_resource_warnings():
+    """Fail if anything the block opened is left for the collector."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        yield
+        gc.collect()
+    leaks = [str(w.message) for w in caught
+             if issubclass(w.category, ResourceWarning)]
+    assert leaks == []
 
 
 class TestParitySlice:
@@ -142,27 +223,176 @@ class TestChaos:
 class TestTimeoutRobustness:
     """A wedged peer trips the barrier, never a pytest hang."""
 
-    def test_hung_peer_names_the_stalled_node(self):
+    def _request(self):
         spec = _ensure_registry()["flood-max"]
-        request = RunRequest(network=Network.build(ring(8), seed=3),
-                             factory=spec.factory, seed=3,
-                             knowledge={"n": 8}, algorithm="flood-max")
+        return RunRequest(network=Network.build(ring(8), seed=3),
+                          factory=spec.factory, seed=3,
+                          knowledge={"n": 8}, algorithm="flood-max")
 
-        def too_slow(signum, frame):  # pragma: no cover - only on failure
-            raise AssertionError("round-barrier timeout did not fire "
-                                 "within the wall-clock budget")
-
-        old = signal.signal(signal.SIGALRM, too_slow)
-        signal.alarm(20)  # hard budget: the 0.5s barrier must fire long before
-        try:
-            with pytest.raises(TransportTimeout) as exc:
-                net_engine.run(request, round_timeout=0.5, hang_nodes=(3,))
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, old)
+    def test_hung_peer_names_the_stalled_node(self):
+        # Hard budget: the 0.5s barrier must fire long before.
+        with wall_budget(20), pytest.raises(TransportTimeout) as exc:
+            net_engine.run(self._request(), round_timeout=0.5,
+                           hang_nodes=(3,))
         assert exc.value.node == 3
         assert "node 3" in str(exc.value)
         assert "timeout" in str(exc.value)
+
+    def test_hung_node_inside_a_batch(self):
+        """The wedged node's timeout ends the batch, names the node, and
+        the shared mesh still closes every socket."""
+        with wall_budget(20), no_resource_warnings():
+            with pytest.raises(TransportTimeout) as exc:
+                net_engine.run_batch(batch_request("flood-max", "ring:8"),
+                                     round_timeout=0.5, hang_nodes=(3,))
+        assert exc.value.node == 3
+        assert "node 3" in str(exc.value)
+
+    def test_failed_handshake_closes_everything(self, monkeypatch):
+        """A dial whose hello never arrives times the handshake out;
+        the listeners, dialed writers and reader tasks opened so far
+        all close before the error propagates."""
+        real = codec.read_hello
+        calls = []
+
+        async def lose_first_hello(reader):
+            calls.append(None)
+            if len(calls) == 1:
+                return None
+            return await real(reader)
+
+        monkeypatch.setattr(codec, "read_hello", lose_first_hello)
+        with wall_budget(20), no_resource_warnings():
+            with pytest.raises(TransportTimeout, match="mesh handshake"):
+                net_engine.run(self._request(), round_timeout=0.3)
+        assert len(calls) > 1
+
+
+class TestBatch:
+    """A batch's trials share one mesh and stay bit-identical."""
+
+    @pytest.mark.parametrize("loss", [False, True],
+                             ids=["reliable", "loss"])
+    @pytest.mark.parametrize("graph", ["clique:8", "ring:9"])
+    @pytest.mark.parametrize("algorithm", DELAY_TOLERANT)
+    def test_batch_matches_sequential_and_event_loop(self, algorithm, graph,
+                                                     loss):
+        model = (ExecutionModel(loss=BernoulliLoss(0.1), seed=3) if loss
+                 else None)
+        # Las Vegas never stops retrying on a lossy clique; the ceiling
+        # truncates it (every other run here ends by round ~200).
+        request = batch_request(algorithm, graph, model=model,
+                                max_rounds=300)
+        assert NET.supports_batch(request) is None
+        batched = [fingerprint(r) for r in NET.run_batch(request)]
+        sequential = [fingerprint(NET.run(trial))
+                      for trial in expand_batch(request)]
+        event_loop = [fingerprint(r) for r in EVENT_LOOP.run_batch(request)]
+        assert batched == sequential == event_loop
+
+    @pytest.mark.parametrize("max_rounds", [2, 3])
+    @pytest.mark.parametrize("algorithm", ["flood-max", "least-el"])
+    @pytest.mark.parametrize("graph", ["clique:16", "ring:16"])
+    def test_truncated_modeled_runs(self, graph, algorithm, max_rounds):
+        """Runs cut at their round ceiling leave frames booked; the
+        drain collects them without counting them, so neither the run
+        nor the next trial on the mesh sees a difference."""
+        request = batch_request(
+            algorithm, graph, max_rounds=max_rounds,
+            model=ExecutionModel(loss=BernoulliLoss(0.1), seed=3))
+        event_loop = [fingerprint(r) for r in EVENT_LOOP.run_batch(request)]
+        assert all(row["truncated"] for row in event_loop)
+        single = [fingerprint(NET.run(trial))
+                  for trial in expand_batch(request)]
+        batched = [fingerprint(r) for r in NET.run_batch(request)]
+        assert single == event_loop
+        assert batched == event_loop
+
+    def test_stale_frames_refuse_the_next_run(self):
+        """The isolation check: a frame left from an earlier run would
+        satisfy the next run's barrier, so the run refuses to start."""
+        request = batch_request("flood-max", "ring:8", trials=1)
+        trial = next(expand_batch(request))
+        with Mesh(request.topology, 5.0) as mesh:
+            mesh.endpoints[2]._buffers[4] = [(1, 4, 0, None)]
+            with pytest.raises(TransportError, match="node 2 .* round 4"):
+                net_engine.run(trial, mesh=mesh)
+
+    def test_congest_violation_raises_as_in_the_expansion(self):
+        """CONGEST batches: trials run in order, so the first offending
+        payload raises exactly what the sequential expansion raises."""
+        request = dataclasses.replace(batch_request("flood-max", "ring:8"),
+                                      congest_bits=1)
+        assert NET.supports_batch(request) is None
+        with pytest.raises(CongestViolation) as batched:
+            NET.run_batch(request)
+        with pytest.raises(CongestViolation) as expected:
+            EVENT_LOOP.run_batch(request)
+        assert str(batched.value) == str(expected.value)
+
+    def test_crash_schedules_never_batch(self):
+        model = ExecutionModel(crash=ExplicitCrashes({2: 3}))
+        request = batch_request("flood-max", "ring:8", model=model)
+        reason = NET.supports_batch(request)
+        assert reason is not None and "crash" in reason
+        rows = [fingerprint(r) for r in NET.run_batch(request)]
+        assert rows == [fingerprint(r)
+                        for r in EVENT_LOOP.run_batch(request)]
+        assert all(row["crashed_nodes"] == [2] for row in rows)
+
+    def test_supports_batch_builds_no_network(self, monkeypatch):
+        def no_build(*args, **kwargs):
+            raise AssertionError("supports_batch built a network")
+
+        monkeypatch.setattr(Network, "build", no_build)
+        assert NET.supports_batch(batch_request("least-el", "ring:9")) \
+            is None
+        reason = NET.supports_batch(batch_request("flood-max", "clique:65"))
+        assert reason is not None and "n=65" in reason
+        reason = NET.supports_batch(batch_request("kingdom", "ring:9"))
+        assert reason is not None and "synchronous-only" in reason
+
+    def test_run_trials_batches_without_changing_statistics(self):
+        kwargs = dict(trials=3, seed=5, knowledge_keys=("n",),
+                      backend="net", keep_results=True)
+        seq = run_trials(ring(9), "least-el", batch=False, **kwargs)
+        bat = run_trials(ring(9), "least-el", **kwargs)
+        assert (seq.messages, seq.rounds, seq.bits) == \
+            (bat.messages, bat.rounds, bat.bits)
+        assert (seq.successes, seq.surviving_successes) == \
+            (bat.successes, bat.surviving_successes)
+        assert [fingerprint(r) for r in seq.results] == \
+            [fingerprint(r) for r in bat.results]
+
+
+class TestRunnerBatching:
+    """The experiments Runner groups net trials onto one mesh."""
+
+    SPEC_KWARGS = dict(name="net-batch", algorithms=["flood-max", "least-el"],
+                       graphs=["ring:8"], trials=3, seed=4, backend="net")
+
+    def test_grouped_rows_and_digests_identical(self, tmp_path):
+        spec = ExperimentSpec(**self.SPEC_KWARGS)
+        plain = Runner(cache_dir=str(tmp_path / "a"),
+                       batch_trials=False).run(spec)
+        grouped = Runner(cache_dir=str(tmp_path / "b")).run(spec)
+        assert plain.metrics == grouped.metrics
+        assert [r.cell.digest() for r in plain.results] == \
+            [r.cell.digest() for r in grouped.results]
+        assert plain.telemetry.batched_groups == 0
+        assert grouped.telemetry.batched_groups == 2
+        assert grouped.telemetry.batched_trials == 6
+        assert grouped.telemetry.unbatched == {}
+
+    def test_crash_groups_run_per_trial_and_say_why(self):
+        sweep = Runner().run(ExperimentSpec(**self.SPEC_KWARGS,
+                                            crash=["0", "1"]))
+        telemetry = sweep.telemetry
+        assert telemetry.batched_trials == 6  # the crash-free groups
+        [(reason, cells)] = telemetry.unbatched.items()
+        assert reason.startswith("crash schedule") and cells == 6
+        assert f"6 trials unbatched: {reason}" in telemetry.summary()
+        assert telemetry.to_json()["unbatched"] == {reason: 6}
 
 
 class TestRefusal:

@@ -8,10 +8,11 @@ streams, message/bit counters, and activation counts bit for bit, or
 the backend refuses the request (:class:`BackendUnsupported`); it never
 approximates.
 
-This package imports without numpy: only :mod:`.engine` (and
-:mod:`.kernels`) require it, and the :class:`repro.sim.ColumnarBackend`
-shim imports them lazily.  :data:`KERNEL_ALGORITHMS` is the static
-capability list surfaced by ``repro list``.
+This package imports without numpy: only :mod:`.engine`,
+:mod:`.kernels` and :mod:`.batch` require it, and the
+:class:`repro.sim.ColumnarBackend` shim imports them lazily.
+:data:`KERNEL_ALGORITHMS` is the static capability list surfaced by
+``repro list``.
 """
 
 from __future__ import annotations

@@ -1,11 +1,11 @@
-"""Trial-batched columnar execution: the trial axis as a leading
-``(T,)`` array dimension.
+"""Trial-batched columnar execution: a sweep cell's trials as one
+kernel call.
 
-PR 7 made a *single* run vectorized; the statistical workloads
-(``run_trials``, sweep cells with ``trials=30..100``, the report
-registry) still paid per-trial Python overhead: rebuild the network,
-re-draw IDs one ``rng.sample`` candidate at a time, re-init a kernel,
-re-enter the interpreter loop.  This module batches all of it:
+A :class:`~repro.sim.contract.BatchRunRequest` expands to T per-trial
+requests that share topology, knowledge and round ceiling, and
+:func:`repro.sim.columnar.engine.execute` runs them through the same
+``(T, n)`` kernels that run a single request as a batch of one.  What
+only batches need lives here:
 
 * **Vectorized ID/rotation replay** (:func:`build_network`): the
   Mersenne Twister word stream of ``random.Random(f"network:{seed}:...")``
@@ -18,41 +18,32 @@ re-enter the interpreter loop.  This module batches all of it:
   selection-set path and the huge-space rejection fallback draw the
   *identical* word sequence: ``1 + _randbelow(space)`` until ``n``
   distinct values accumulate — and the per-node port rotations.
-* **Batched flood-max** (:func:`_run_flood_max`): state arrays gain a
-  leading trial dimension (``rank``/``best``/``sizes`` are ``(T, n)``)
-  and all T trials step in lockstep (same topology and knowledge ⇒ same
-  horizon and round sequence), with per-trial Metrics folded out of
-  ``(T,)`` counter arrays by
-  :class:`~repro.sim.columnar.engine.BatchKernelRuntime`.
-* **Batched sublinear**: the trial axis vectorizes network construction
-  (the ID and rotation draws above); round execution stays per-trial
-  because its state is sparse per-trial dicts and the dense candidacy
-  screen has no cross-trial structure (each (trial, node) pair is an
-  independent sha512 + generator init).
+* **The batch-only refusals** (:func:`supports_batch`): a batch with
+  no trials, a CONGEST limit (enforcement raises at the first
+  offending trial), and a sublinear batch whose networks would not
+  build vectorized (its rounds run one trial at a time, so network
+  construction is all the batch vectorizes).
 
-Same equivalent-or-absent contract as the single-run engine: every
-trial's result is bit-identical to a sequential run
-(``expand_batch``'s definition), or :func:`supports_batch` names the
-reason and the caller falls back — never silently different numbers.
+Same equivalent-or-absent contract as a single run: every trial's
+result is bit-identical to a sequential run (``expand_batch``'s
+definition), or :func:`supports_batch` names the reason and the caller
+falls back — never silently different numbers.
 """
 
 from __future__ import annotations
 
 import hashlib
 from _random import Random as _CoreRandom
-from types import SimpleNamespace
 from typing import List, Optional
 
 import numpy as np
 
-from ...core.flood_max import MaxIdMsg
 from ...graphs.ids import RandomIds, id_space_size
 from ...graphs.network import (LAZY_AUTO_MIN_AVG_DEGREE,
                                LAZY_AUTO_MIN_NODES, ImplicitNetwork,
                                Network)
 from ..contract import BatchRunRequest, RunResult
-from ..status import Status
-from ..wakeup import Simultaneous
+from . import engine
 from .kernels import KERNELS
 
 
@@ -259,42 +250,24 @@ def _expand_requests(request: BatchRunRequest):
 def supports_batch(request: BatchRunRequest) -> Optional[str]:
     """Refusal reason on the batched columnar path, else ``None``.
 
-    Mirrors the single-run :func:`repro.sim.columnar.engine.supports`
-    checks that apply batch-wide, plus the batch-specific ones; a
-    ``None`` here guarantees :func:`run_batch` is bit-identical to the
-    sequential expansion *and* genuinely vectorized over trials.
+    The engine's shared configuration checks, the batch-only rows, and
+    the kernel's own check; a ``None`` here guarantees
+    :func:`run_batch` is bit-identical to the sequential expansion
+    *and* genuinely vectorized over trials.
     """
-    algorithm = request.algorithm
-    if not algorithm:
-        return ("request does not name a registry algorithm (columnar "
-                "kernels are looked up by name, not by process factory)")
-    kernel_cls = KERNELS.get(algorithm)
-    if kernel_cls is None:
-        return (f"no columnar kernel for algorithm {algorithm!r} "
-                f"(kernels exist for: {', '.join(sorted(KERNELS))})")
+    reason = engine.config_reason(request)
+    if reason is not None:
+        return reason
     if request.trials < 1:
         return "batch carries no trials"
-    model = request.model
-    if model is not None and not model.is_synchronous:
-        return ("execution model is not the synchronous fault-free model "
-                "(delay/loss/crash simulation is event-loop only)")
-    wake = request.effective_wakeup()
-    if wake is not None and not isinstance(wake, Simultaneous):
-        return (f"wakeup model {type(wake).__name__} is not simultaneous "
-                "(staggered wakeups are event-loop only)")
     if request.congest_bits is not None:
         return ("CONGEST enforcement raises at the first offending trial "
                 "in trial order; run CONGEST-limited batches per trial")
-    # Kernel-specific checks see a request-shaped probe: they only read
-    # knowledge and topology-level structure, which the batch shares.
-    probe = SimpleNamespace(
-        knowledge=request.knowledge,
-        network=SimpleNamespace(topology=request.topology,
-                                num_edges=request.topology.num_edges))
-    reason = kernel_cls().supports(probe)
+    check, _ = KERNELS[request.algorithm]
+    reason = check(request.knowledge or {}, request.topology)
     if reason is not None:
         return reason
-    if algorithm != "flood-max":
+    if request.algorithm == "sublinear":
         # Sublinear's rounds execute per trial either way; the batch is
         # only *genuinely* batched when network construction vectorizes.
         return network_vector_reason(request.topology, request.ids)
@@ -307,216 +280,4 @@ def run_batch(request: BatchRunRequest) -> List[RunResult]:
     Callers are expected to have passed :func:`supports_batch` (the
     ``ColumnarBackend`` shim enforces it).
     """
-    requests = _expand_requests(request)
-    if request.algorithm == "flood-max":
-        return _run_flood_max(requests)
-    from . import engine
-    return [engine.run(rq) for rq in requests]
-
-
-# ----------------------------------------------------------------------
-# Batched flood-max
-# ----------------------------------------------------------------------
-
-def _bit_length_u64(arr: np.ndarray) -> np.ndarray:
-    """Per-element ``int.bit_length()`` of a uint64 array (exact)."""
-    out = np.zeros(arr.shape, dtype=np.int64)
-    v = arr.copy()
-    for shift in (32, 16, 8, 4, 2, 1):
-        m = v >= (np.uint64(1) << np.uint64(shift))
-        out[m] += shift
-        v[m] >>= np.uint64(shift)
-    return out + (v > 0)
-
-
-def _batched_inbox(sent_mask, sent_vals, rows, clique, indptr, indices,
-                   n: int) -> np.ndarray:
-    """Per-node max over last round's sends, for the trial rows given
-    (-1 where nothing arrived) — the (R, n) analogue of the sequential
-    kernel's ``_inbox_max``."""
-    sent = np.where(sent_mask[rows], sent_vals[rows], np.int64(-1))
-    if clique:
-        m1 = sent.max(axis=1)
-        inbox = np.repeat(m1[:, None], n, axis=1)
-        at_max = sent == m1[:, None]
-        unique = at_max.sum(axis=1) == 1
-        if unique.any():
-            # The unique top sender hears only the runner-up value.
-            lower = np.where(at_max, np.int64(-1), sent)
-            m2 = lower.max(axis=1)
-            holders = np.argmax(at_max, axis=1)
-            u = np.flatnonzero(unique)
-            inbox[u, holders[u]] = m2[u]
-        return inbox
-    neighbor_vals = sent[:, indices]
-    starts = indptr[:-1]
-    empty = starts == indptr[1:]
-    inbox = np.maximum.reduceat(
-        neighbor_vals, np.minimum(starts, neighbor_vals.shape[1] - 1),
-        axis=1)
-    inbox[:, empty] = -1
-    return inbox
-
-
-def _run_flood_max(requests) -> List[RunResult]:
-    """All T flood-max trials in lockstep over ``(T, n)`` state.
-
-    The trials share topology and knowledge, so they share the flooding
-    horizon and execute the identical round sequence 0..horizon — only
-    the per-trial ID draws (hence ranks, payload sizes, and improvement
-    patterns) differ, and those live in arrays with a leading trial
-    dimension.  Accounting per round mirrors the sequential kernel's
-    ``_account_broadcasts`` term by term.
-    """
-    from .engine import BatchKernelRuntime
-
-    brt = BatchKernelRuntime(requests)
-    T, n = brt.T, brt.n
-    networks = brt.networks
-    topology = networks[0].topology
-
-    # Trial-invariant structure (degrees, adjacency, horizon).
-    deg = np.fromiter((networks[0].degree(i) for i in range(n)),
-                      dtype=np.int64, count=n)
-    d = brt.knowledge.get("D")
-    if d is None:
-        d = brt.knowledge["n"] - 1
-    horizon = max(1, d)
-    clique = bool(getattr(topology, "is_complete", False))
-    indptr = indices = None
-    if not clique:
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(deg, out=indptr[1:])
-        indices = np.empty(int(indptr[-1]), dtype=np.int64)
-        pos = 0
-        for i in range(n):
-            nb = topology.neighbors(i)
-            indices[pos:pos + len(nb)] = nb
-            pos += len(nb)
-
-    # Per-trial rank space: IDs order identically to their ranks, and
-    # payload sizes come from the ID bit lengths (MaxIdMsg's 8-bit
-    # header + max(1, uid.bit_length()), uid >= 1).  IDs past uint64
-    # (n > ~65k via the fallback network build) drop to the sequential
-    # kernel's arbitrary-precision init per trial.
-    rank = np.empty((T, n), dtype=np.int64)
-    ids_sorted: Optional[List[list]] = None
-    arrs = [getattr(net, "_ids_arr", None) for net in networks]
-    if all(a is not None for a in arrs):
-        ids_mat = np.stack(arrs)
-    else:
-        try:
-            ids_mat = np.array([net.ids for net in networks],
-                               dtype=np.uint64)
-        except OverflowError:
-            ids_mat = None
-    if ids_mat is not None:
-        order = np.argsort(ids_mat, axis=1)
-        rank[np.arange(T)[:, None], order] = np.arange(n)[None, :]
-        sizes = _bit_length_u64(ids_mat) + 8
-        sizes_by_rank = np.take_along_axis(sizes, order, axis=1)
-    else:
-        order = None
-        ids_sorted = []
-        sizes = np.empty((T, n), dtype=np.int64)
-        sizes_by_rank = np.empty((T, n), dtype=np.int64)
-        for t in range(T):
-            ids_t = list(networks[t].ids)
-            order_t = sorted(range(n), key=ids_t.__getitem__)
-            for pos, i in enumerate(order_t):
-                rank[t, i] = pos
-            sizes[t] = np.fromiter(
-                (MaxIdMsg(uid).size_bits() for uid in ids_t),
-                dtype=np.int64, count=n)
-            sizes_by_rank[t] = sizes[t][np.asarray(order_t)]
-            ids_sorted.append([ids_t[i] for i in order_t])
-
-    maxid_count = brt.per_kind_array("MaxIdMsg")
-    sent_count = np.zeros((T, n), dtype=np.int64)
-    best = rank.copy()
-    sent_mask = sent_vals = None
-    decided = False
-    truncated = False
-    next_r = 0
-    while True:
-        r = next_r
-        if r > brt.limit:
-            truncated = True
-            break
-        brt.activations += n
-        if r == 0:
-            mask0 = deg > 0
-            if mask0.any():
-                counts = deg[mask0]
-                total = int(counts.sum())
-                brt.messages += total
-                brt.bits += (sizes[:, mask0] * counts).sum(axis=1)
-                np.maximum(brt.max_payload_bits,
-                           sizes[:, mask0].max(axis=1),
-                           out=brt.max_payload_bits)
-                maxid_count += total
-                sent_count[:, mask0] += counts
-                brt.pending += total
-                sent_mask = np.broadcast_to(mask0, (T, n))
-                sent_vals = rank
-            next_r = 1
-            brt.rounds_executed += 1
-            continue
-        live = brt.pending > 0
-        improved = None
-        if live.any():
-            brt.pending[live] = 0
-            brt.last_activity_round[live] = r
-            rows = np.flatnonzero(live)
-            inbox = _batched_inbox(sent_mask, sent_vals, rows, clique,
-                                   indptr, indices, n)
-            sub = inbox > best[rows]
-            improved = np.zeros((T, n), dtype=bool)
-            improved[rows] = sub
-            best[rows] = np.maximum(best[rows], inbox)
-        sent_mask = sent_vals = None
-        if r >= horizon:
-            decided = True
-            brt.last_activity_round[:] = r
-            brt.rounds_executed += 1
-            break
-        if improved is not None and improved.any():
-            sizes_v = np.take_along_axis(sizes_by_rank, best, axis=1)
-            counts = np.where(improved, deg, 0)
-            totals = counts.sum(axis=1)
-            brt.messages += totals
-            brt.bits += (counts * sizes_v).sum(axis=1)
-            np.maximum(brt.max_payload_bits,
-                       np.where(improved, sizes_v, 0).max(axis=1),
-                       out=brt.max_payload_bits)
-            maxid_count += totals
-            sent_count += counts
-            brt.pending += totals
-            sent_mask = improved
-            sent_vals = best.copy()
-        next_r = r + 1
-        brt.rounds_executed += 1
-
-    brt.per_node_sent = sent_count
-    if decided:
-        elected, non_elected = Status.ELECTED, Status.NON_ELECTED
-        for t in range(T):
-            row_best = best[t]
-            statuses = [non_elected] * n
-            for i in np.flatnonzero(row_best == rank[t]).tolist():
-                statuses[i] = elected
-            brt.statuses[t] = statuses
-            distinct = np.unique(row_best)
-            if distinct.size == 1:  # connected graph: everyone agrees
-                b = int(distinct[0])
-                uid = (ids_sorted[t][b] if ids_sorted is not None
-                       else int(ids_mat[t, order[t, b]]))
-                brt.outputs[t] = [{"leader_uid": uid} for _ in range(n)]
-            elif ids_sorted is not None:
-                srt = ids_sorted[t]
-                brt.outputs[t] = [{"leader_uid": srt[b]}
-                                  for b in row_best.tolist()]
-            else:
-                uids = ids_mat[t, order[t, row_best]].tolist()
-                brt.outputs[t] = [{"leader_uid": u} for u in uids]
-    return brt.results(truncated)
+    return engine.execute(_expand_requests(request))

@@ -1,14 +1,14 @@
-"""The columnar round engine: kernel loop + exact accounting runtime.
+"""The columnar engine: refusal checks, the exact accounting runtime,
+and the one execution path.
 
-The engine mirrors :meth:`Simulator.run` structurally — find the next
-event round, execute it, count it, settle delivered messages at the
-end — but delegates the *content* of each round to a vectorized
-:class:`~repro.sim.columnar.kernels.Kernel`.  A kernel's contract is
-the per-round map ``step(state, inbox) -> outbox`` with the inbox and
-outbox represented columnarly (flat arrays / grouped dicts) instead of
-per-node ``Delivery`` lists; :class:`KernelRuntime` provides the
-Metrics-exact accounting primitives so kernels cannot drift from the
-event loop's counters.
+Every columnar execution is a batch: :func:`execute` runs T trials
+that share topology, knowledge and round ceiling through their
+algorithm's kernel (:mod:`repro.sim.columnar.kernels`) over one
+:class:`KernelRuntime`, and :func:`run` executes a single request as a
+batch of one.  The runtime keeps every counter with a leading ``(T,)``
+trial dimension and folds trial ``t``'s slice back into a
+:class:`Metrics` instance, so kernels cannot drift from the event
+loop's counters.
 
 Equivalence obligations a kernel must uphold (pinned by
 ``tests/test_backends.py`` against the golden parity suite):
@@ -38,19 +38,15 @@ from ..wakeup import Simultaneous
 from .kernels import KERNELS
 
 
-def supports(request) -> Optional[str]:
-    """Refusal reason for ``request`` on the columnar path, else ``None``.
-
-    The checks are deliberately loud and specific: every feature the
-    columnar engine does not replicate bit-for-bit is rejected here, so
-    an unsupported request can never produce silently different numbers.
-    """
+def config_reason(request) -> Optional[str]:
+    """The refusals a single run and a batch share, keyed by the
+    configuration alone: registry name, kernel, synchronous model and
+    simultaneous wakeup."""
     algorithm = request.algorithm
     if not algorithm:
         return ("request does not name a registry algorithm (columnar "
                 "kernels are looked up by name, not by process factory)")
-    kernel_cls = KERNELS.get(algorithm)
-    if kernel_cls is None:
+    if algorithm not in KERNELS:
         return (f"no columnar kernel for algorithm {algorithm!r} "
                 f"(kernels exist for: {', '.join(sorted(KERNELS))})")
     model = request.model
@@ -61,6 +57,19 @@ def supports(request) -> Optional[str]:
     if wake is not None and not isinstance(wake, Simultaneous):
         return (f"wakeup model {type(wake).__name__} is not simultaneous "
                 "(staggered wakeups are event-loop only)")
+    return None
+
+
+def supports(request) -> Optional[str]:
+    """Refusal reason for ``request`` on the columnar path, else ``None``.
+
+    The checks are deliberately loud and specific: every feature the
+    columnar engine does not replicate bit-for-bit is rejected here, so
+    an unsupported request can never produce silently different numbers.
+    """
+    reason = config_reason(request)
+    if reason is not None:
+        return reason
     if request.watch_edges:
         return "edge watches need per-send envelopes (event-loop only)"
     if request.record_sends:
@@ -71,48 +80,8 @@ def supports(request) -> Optional[str]:
     if request.timeline:
         return ("timeline recording is not instrumented on the columnar "
                 "path; run observed elections on the event-loop backend")
-    return kernel_cls().supports(request)
-
-
-class KernelRuntime:
-    """Accounting surface shared by all kernels.
-
-    Wraps one :class:`Metrics` instance plus the statuses/outputs the
-    :class:`RunResult` will carry, and owns the ``pending`` in-flight
-    message counter used for the end-of-run ``messages_delivered``
-    settle (the exact analogue of the Simulator's buffered-inbox scan).
-    """
-
-    def __init__(self, request) -> None:
-        self.request = request
-        self.network = request.network
-        self.n = self.network.num_nodes
-        self.seed = request.seed
-        self.knowledge = dict(request.knowledge or {})
-        self.congest_bits = request.congest_bits
-        self.limit = (request.max_rounds if request.max_rounds is not None
-                      else DEFAULT_MAX_ROUNDS)
-        self.metrics = Metrics()
-        self.statuses = [Status.UNDECIDED] * self.n
-        self.outputs = [{} for _ in range(self.n)]
-        #: Messages sent but not yet handed to a receiver.
-        self.pending = 0
-
-    def account_multicast(self, src: int, kind: str, size: int,
-                          count: int) -> None:
-        """Count one payload fanned out over ``count`` ports of ``src``.
-
-        Same CONGEST check and counter updates as the round core's
-        ``_submit_multicast``.
-        """
-        self.congest_check(kind, size)
-        self.metrics.record_broadcast(src, kind, size, count)
-        self.pending += count
-
-    def congest_check(self, kind: str, size: int) -> None:
-        """Standalone CONGEST check for bulk-accounted sends."""
-        if self.congest_bits is not None and size > self.congest_bits:
-            raise CongestViolation.over(kind, size, self.congest_bits)
+    check, _ = KERNELS[request.algorithm]
+    return check(request.knowledge or {}, request.network.topology)
 
 
 class _BatchMetrics(Metrics):
@@ -148,29 +117,27 @@ class _BatchMetrics(Metrics):
         self._per_node_row = None
 
 
-class BatchKernelRuntime:
-    """Exact per-trial accounting for one *batched* kernel execution.
+class KernelRuntime:
+    """Exact per-trial accounting for one kernel execution.
 
-    The trial-batched kernels (:mod:`repro.sim.columnar.batch`)
-    accumulate counters into arrays with a leading ``(T,)`` trial
-    dimension instead of one :class:`Metrics` per run;
-    :meth:`metrics_for` folds trial ``t``'s slice back into a Metrics
-    instance bit-identical to the one a sequential
-    :class:`KernelRuntime` run would have produced.  Statuses/outputs
-    stay per-trial Python lists (set by the kernel at finish; trials the
-    kernel leaves untouched get the all-UNDECIDED default, exactly like
-    a truncated sequential run).
+    Counters are arrays with a leading ``(T,)`` trial dimension instead
+    of one :class:`Metrics` per run; :meth:`metrics_for` folds trial
+    ``t``'s slice back into a Metrics instance bit-identical to the one
+    the event loop produces.  Statuses/outputs stay per-trial Python
+    lists (set by the kernel; trials the kernel leaves untouched get
+    the all-UNDECIDED default of a run truncated before any decision).
     """
 
     def __init__(self, requests) -> None:
         if not requests:
-            raise ValueError("batch runtime needs at least one trial")
+            raise ValueError("kernel runtime needs at least one trial")
         self.requests = list(requests)
         first = self.requests[0]
         self.T = len(self.requests)
         self.networks = [rq.network for rq in self.requests]
         self.n = first.network.num_nodes
         self.knowledge = dict(first.knowledge or {})
+        self.congest_bits = first.congest_bits
         self.limit = (first.max_rounds if first.max_rounds is not None
                       else DEFAULT_MAX_ROUNDS)
         T = self.T
@@ -182,10 +149,11 @@ class BatchKernelRuntime:
         self.rounds_executed = np.zeros(T, dtype=np.int64)
         #: Per-trial messages sent but not yet handed to a receiver.
         self.pending = np.zeros(T, dtype=np.int64)
+        self.truncated = np.zeros(T, dtype=bool)
         #: kind -> (T,) per-trial send counts.
         self.per_kind: Dict[str, np.ndarray] = {}
-        #: (T, n) per-node send counts, set by the kernel.
-        self.per_node_sent: Optional[np.ndarray] = None
+        #: (T, n) per-node send counts.
+        self.per_node_sent = np.zeros((T, self.n), dtype=np.int64)
         self.statuses: List[Optional[list]] = [None] * T
         self.outputs: List[Optional[list]] = [None] * T
 
@@ -195,8 +163,13 @@ class BatchKernelRuntime:
             arr = self.per_kind[kind] = np.zeros(self.T, dtype=np.int64)
         return arr
 
+    def congest_check(self, kind: str, size: int) -> None:
+        """The CONGEST check of one send of ``size`` bits."""
+        if self.congest_bits is not None and size > self.congest_bits:
+            raise CongestViolation.over(kind, size, self.congest_bits)
+
     def metrics_for(self, t: int) -> Metrics:
-        """Trial ``t``'s Metrics, identical to a sequential run's."""
+        """Trial ``t``'s Metrics, identical to an event-loop run's."""
         m = _BatchMetrics()
         m.messages = int(self.messages[t])
         m.bits = int(self.bits[t])
@@ -204,17 +177,18 @@ class BatchKernelRuntime:
         m.activations = int(self.activations[t])
         m.last_activity_round = int(self.last_activity_round[t])
         m.rounds_executed = int(self.rounds_executed[t])
+        # Synchronous delivered settle, identical to Simulator.run's:
+        # every sent message was delivered except those still in flight.
         m.messages_delivered = int(self.messages[t] - self.pending[t])
         for kind, arr in self.per_kind.items():
             count = int(arr[t])
             if count:  # the event loop never creates zero-count keys
                 m.per_kind[kind] = count
-        if self.per_node_sent is not None:
-            m._per_node_counter = None
-            m._per_node_row = self.per_node_sent[t]
+        m._per_node_counter = None
+        m._per_node_row = self.per_node_sent[t]
         return m
 
-    def results(self, truncated: bool) -> List[RunResult]:
+    def results(self) -> List[RunResult]:
         """Fold the batch into per-trial RunResults, in trial order."""
         out = []
         for t in range(self.T):
@@ -227,39 +201,28 @@ class BatchKernelRuntime:
             out.append(RunResult(
                 network=self.networks[t], statuses=statuses,
                 outputs=outputs, metrics=self.metrics_for(t),
-                truncated=truncated, wake_schedule=[0] * self.n))
+                truncated=bool(self.truncated[t]),
+                wake_schedule=[0] * self.n))
         return out
 
 
-def run(request) -> RunResult:
-    """Execute ``request`` through its algorithm's vectorized kernel.
+def execute(requests) -> List[RunResult]:
+    """Run trials that share one configuration through their
+    algorithm's kernel; results in trial order.
 
-    Callers are expected to have passed :func:`supports` (the
-    ``ColumnarBackend`` shim enforces it); running an unchecked
-    unsupported request is a programming error, not a fallback.
+    Callers are expected to have passed :func:`supports` (or the batch
+    path's ``supports_batch``); running an unchecked unsupported
+    request is a programming error, not a fallback.
     """
-    kernel = KERNELS[request.algorithm]()
-    rt = KernelRuntime(request)
-    state = kernel.init(rt)
-    truncated = False
-    while True:
-        r = kernel.next_round(state)
-        if r is None:
-            break
-        if r > rt.limit:
-            truncated = True
-            break
-        kernel.step(rt, state, r)
-        rt.metrics.rounds_executed += 1
-    # Synchronous delivered settle, identical to Simulator.run's: every
-    # sent message was delivered except those still in flight.
-    rt.metrics.messages_delivered = rt.metrics.messages - rt.pending
-    kernel.finish(rt, state, truncated)
-    return RunResult(
-        network=rt.network,
-        statuses=rt.statuses,
-        outputs=rt.outputs,
-        metrics=rt.metrics,
-        truncated=truncated,
-        wake_schedule=[0] * rt.n,
-    )
+    rt = KernelRuntime(requests)
+    _, kernel = KERNELS[rt.requests[0].algorithm]
+    kernel(rt)
+    return rt.results()
+
+
+def run(request) -> RunResult:
+    """Execute ``request`` as a batch of one.
+
+    The ``ColumnarBackend`` shim checks :func:`supports` first.
+    """
+    return execute([request])[0]

@@ -10,7 +10,9 @@ every layer: the raw backend call, :func:`run_trials`'s ``batch``
 parameter, the experiments runner's cell grouping, and the vectorized
 network construction underneath, plus a hypothesis property that
 unsupported batch requests degrade to the sequential path rather than
-erroring or drifting.
+erroring or drifting.  A columnar single run is a batch of one through
+the same kernel, so the backend-level checks also compare every trial
+with the event loop.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from repro.sim.contract import BatchRunRequest
 numpy = pytest.importorskip("numpy")
 
 COLUMNAR = BACKENDS["columnar"]
+EVENT_LOOP = BACKENDS["event-loop"]
 
 
 def fingerprint(result):
@@ -67,12 +70,21 @@ def batch_request(algorithm, graph, trials, *, max_rounds=None,
         algorithm=algorithm)
 
 
-def assert_batch_matches_sequential(request, backend=COLUMNAR):
+def assert_batch_matches_sequential(request, backend=COLUMNAR, *,
+                                    event_loop=True):
+    """The batch equals the backend's own per-trial runs and, unless
+    ``event_loop`` is off, the event loop's: a columnar single run is a
+    batch of one through the same kernel, so only the event loop checks
+    the kernel independently."""
     batched = backend.run_batch(request)
-    sequential = [backend.run(single) for single in expand_batch(request)]
+    trials = list(expand_batch(request))
+    sequential = [backend.run(single) for single in trials]
     assert len(batched) == len(sequential) == request.trials
     for got, want in zip(batched, sequential):
         assert fingerprint(got) == fingerprint(want)
+    if event_loop:
+        for got, single in zip(batched, trials):
+            assert fingerprint(got) == fingerprint(EVENT_LOOP.run(single))
     return batched
 
 
@@ -92,22 +104,27 @@ class TestBackendBatch:
             batch_request(algorithm, graph, trials))
 
     def test_vectorized_network_path_parity(self):
-        """n > 2048 takes the vectorized ID/rotation build; still exact."""
+        """n > 2048 takes the vectorized ID/rotation build; still exact.
+        The event loop needs seconds per trial for this clique's ~n²
+        messages, so the smaller clique rows stand in for it."""
         request = batch_request("flood-max", "clique:2500", 3)
         from repro.sim.columnar import batch as columnar_batch
         assert columnar_batch.network_vector_reason(
             request.topology, request.ids) is None
-        assert_batch_matches_sequential(request)
+        assert_batch_matches_sequential(request, event_loop=False)
 
     def test_truncation_parity(self):
-        rows = assert_batch_matches_sequential(
-            batch_request("flood-max", "ring:32", 3, max_rounds=2))
-        assert all(r.truncated for r in rows)
+        for algorithm, graph, max_rounds in [("flood-max", "ring:32", 2),
+                                             ("sublinear", "clique:2500", 1)]:
+            request = batch_request(algorithm, graph, 3,
+                                    max_rounds=max_rounds)
+            assert COLUMNAR.supports_batch(request) is None
+            rows = assert_batch_matches_sequential(request)
+            assert all(r.truncated for r in rows)
 
     def test_event_loop_backend_batches_via_expansion(self):
         assert_batch_matches_sequential(
-            batch_request("flood-max", "ring:8", 3),
-            backend=BACKENDS["event-loop"])
+            batch_request("flood-max", "ring:8", 3), backend=EVENT_LOOP)
 
     def test_congest_refused_to_sequential_path(self):
         """CONGEST enforcement is per-trial-ordered; the batch refuses
@@ -314,7 +331,8 @@ class TestDelayIntolerance:
 
 
 ALGO_STRATEGY = st.sampled_from(["flood-max", "sublinear"])
-GRAPH_STRATEGY = st.sampled_from(["ring:6", "clique:12", "clique:40"])
+GRAPH_STRATEGY = st.sampled_from(["ring:6", "clique:12", "clique:40",
+                                  "star:7", "path:9"])
 
 
 class TestFallbackProperty:
@@ -324,13 +342,14 @@ class TestFallbackProperty:
     @settings(max_examples=25, deadline=None)
     @given(algorithm=ALGO_STRATEGY, graph=GRAPH_STRATEGY,
            trials=st.integers(min_value=1, max_value=3),
-           congest=st.booleans(), seed_base=st.integers(0, 2 ** 20))
+           congest=st.booleans(), seed_base=st.integers(0, 2 ** 20),
+           max_rounds=st.sampled_from([None, 1, 2]))
     def test_unsupported_batches_fall_back(self, algorithm, graph, trials,
-                                           congest, seed_base):
+                                           congest, seed_base, max_rounds):
         request = batch_request(
             algorithm, graph, trials,
             congest_bits=10 ** 6 if congest else None,
-            seed_base=seed_base)
+            max_rounds=max_rounds, seed_base=seed_base)
         # Small graphs / congest limits are all batch-unsupported, but
         # run_batch must still return the exact sequential results.
         assert_batch_matches_sequential(request)

@@ -46,6 +46,7 @@ REFERENCE = {
     pytest.param("flood-max", "ring:8", "net", {}, id="net",
                  marks=pytest.mark.net),
     pytest.param("flood-max", "clique:8", "columnar", {}, id="columnar"),
+    pytest.param("flood-max", "ring:8", "columnar", {}, id="columnar-ring"),
     # No clustering kernel exists, so columnar stays flood-max only.
     pytest.param("clustering", "ring:8", "event-loop", {},
                  id="clustering-flat"),
@@ -77,11 +78,22 @@ def test_aggregated_case_takes_the_aggregated_path():
 
 def test_benchmark_span_anchors():
     """bench/spans.py TARGETS wraps Simulator.__init__ and Simulator.run
-    through the class __dict__, and repro.net.engine.run by module
-    attribute; a definition moved to a base class would silently zero
-    the sim.* per-layer metrics."""
+    through the class __dict__, and repro.net.engine.run and the
+    columnar entry points by module attribute; a definition moved to a
+    base class, or re-exported from another module, would silently
+    zero the sim.* or columnar.* per-layer metrics."""
+    import importlib
+    import types
+
     from repro.net import engine
 
     assert "__init__" in Simulator.__dict__
     assert "run" in Simulator.__dict__
     assert callable(engine.run)
+    pytest.importorskip("numpy")
+    for module, name in [("repro.sim.columnar.engine", "run"),
+                         ("repro.sim.columnar.batch", "run_batch"),
+                         ("repro.sim.columnar.batch", "build_network")]:
+        fn = getattr(importlib.import_module(module), name)
+        assert isinstance(fn, types.FunctionType), (module, name)
+        assert fn.__module__ == module, (module, name)

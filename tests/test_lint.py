@@ -355,7 +355,7 @@ def test_rl201_acceptance_on_real_tree(tmp_path):
 
     broken = dict(files)
     without = broken["repro/sim/columnar/kernels.py"].replace(
-        "    FloodMaxKernel.algorithm: FloodMaxKernel,\n", "")
+        '    "flood-max": (flood_max_reason, flood_max),\n', "")
     assert without != broken["repro/sim/columnar/kernels.py"]
     broken["repro/sim/columnar/kernels.py"] = without
     result = lint_tree(tmp_path / "broken", broken, select=["RL201"])

@@ -16,10 +16,11 @@ two representative algorithms over cliques and rings:
 * **kingdom** (Theorem 4.10 / Algorithm 2) re-floods its kingdom
   claims, which makes it surprisingly robust to moderate loss — at the
   price of extra messages — but crashes can still behead a kingdom.
-  Kingdom assumes lock-step rounds, so it sits out the *delay* sweep:
-  under Δ > 1 its conquest waves re-send over ports that still hold a
-  delayed message in flight, which the simulator's model check rejects
-  (``repro.api`` marks it ``delay_tolerant=False``).
+  Kingdom is proved for lock-step rounds, so it sits out the *delay*
+  sweep: under Δ > 1 a run may raise ``ModelViolation`` (a conquest
+  wave re-sends over a port that still holds a delayed message) or
+  silently end with zero or several leaders.  ``repro.api`` marks it
+  ``delay_tolerant=False`` and every named run refuses it under delays.
 
 Two success columns are reported: ``success`` is the paper's strict
 condition (every node decided, exactly one leader), ``surviving`` the
@@ -70,7 +71,7 @@ def main() -> None:
     delay_algos, skipped = delay_tolerant(ALGORITHMS)
     if skipped:
         print(f"... delay sweep: skipping {', '.join(skipped)} "
-              "(synchronous-only: crashes under Δ > 1 delays)",
+              "(synchronous-only: refused under Δ > 1 delays)",
               file=sys.stderr)
     delays = run_sweep(name="resilience-delay",
                        delay=["1", "uniform:2", "uniform:4"],

@@ -133,25 +133,14 @@ def run_trials(topology: Topology,
         raise ValueError(
             f"run_trials needs trials >= 1, got {trials} "
             "(an empty trial set has no statistics to summarize)")
+    from ..api import _auto_knowledge, algorithm_spec
+
     algorithm: Optional[str] = None
     if isinstance(factory, str):
-        from ..api import _ensure_registry
-        registry = _ensure_registry()
-        if factory not in registry:
-            known = ", ".join(sorted(registry))
-            raise ValueError(
-                f"unknown algorithm {factory!r}; choose one of: {known}")
         algorithm = factory
-        factory = registry[algorithm].factory
+        factory = algorithm_spec(algorithm, model).factory
     engine = resolve_backend(backend)
-    auto: Dict[str, int] = {}
-    if "n" in knowledge_keys:
-        auto["n"] = topology.num_nodes
-    if "m" in knowledge_keys:
-        auto["m"] = topology.num_edges
-    if "D" in knowledge_keys:
-        auto["D"] = topology.diameter()
-    auto.update(knowledge or {})
+    auto = _auto_knowledge(topology, knowledge_keys, knowledge)
 
     if batch and tracer is not None:
         raise ValueError(

@@ -14,7 +14,8 @@ wiring per Table 1's "Knowledge" column.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, Mapping, Optional, Union
+from typing import (TYPE_CHECKING, Callable, Dict, Mapping, Optional,
+                    Sequence, Union)
 
 from .graphs.network import Network
 from .graphs.topology import Topology
@@ -55,11 +56,11 @@ class AlgorithmSpec:
         self.backends = backends
         #: Whether the algorithm stays correct under asynchronous-style
         #: message delays (``ExecutionModel`` with max_delay > 1).  The
-        #: kingdom algorithms assume lock-step rounds — their conquest
-        #: waves re-send over ports that still hold a delayed message in
-        #: flight, tripping the simulator's one-message-per-port-per-
-        #: round model check — so delayed runs refuse up front instead
-        #: of crashing mid-election.
+        #: kingdom algorithms are proved for lock-step rounds; under
+        #: delays a run may raise ``ModelViolation`` (a conquest wave
+        #: re-sends over a port that still holds a delayed message) or
+        #: silently end with zero or several leaders.  Every named run
+        #: therefore refuses them up front (:func:`algorithm_spec`).
         self.delay_tolerant = delay_tolerant
 
     @property
@@ -163,6 +164,34 @@ def _ensure_registry() -> Dict[str, AlgorithmSpec]:
     return ALGORITHMS
 
 
+def algorithm_spec(name: str,
+                   model: Optional[ExecutionModel] = None) -> AlgorithmSpec:
+    """The registry entry for ``name``, checked against ``model``.
+
+    The one gate every entry point that runs a registry algorithm by
+    name passes through.  Raises ``ValueError`` for an unknown name, and
+    for a synchronous-only algorithm (``delay_tolerant=False``) under a
+    model with max_delay > 1 — such a run may raise ``ModelViolation``
+    or silently elect the wrong number of leaders, so it never starts.
+    :class:`~repro.sim.scheduler.Simulator` used directly runs anything.
+    """
+    registry = _ensure_registry()
+    if name not in registry:
+        known = ", ".join(sorted(registry))
+        raise ValueError(
+            f"unknown algorithm {name!r}; choose one of: {known}")
+    spec = registry[name]
+    if (not spec.delay_tolerant and model is not None
+            and model.delay.max_delay > 1):
+        raise ValueError(
+            f"algorithm {name!r} is synchronous-only: it assumes lock-step "
+            f"rounds, and under message delays (max_delay="
+            f"{model.delay.max_delay}) a run may raise ModelViolation or "
+            "silently elect the wrong number of leaders; drop the delay "
+            "model or pick a delay-tolerant algorithm")
+    return spec
+
+
 def make_network(graph: Union[Topology, Network], *, seed: int = 0) -> Network:
     """Promote a bare topology into a concrete network (IDs + ports)."""
     if isinstance(graph, Network):
@@ -170,19 +199,25 @@ def make_network(graph: Union[Topology, Network], *, seed: int = 0) -> Network:
     return Network.build(graph, seed=seed)
 
 
-def _auto_knowledge(network: Network, needs: tuple,
+def _auto_knowledge(topology: Topology, needs: Sequence[str],
                     given: Optional[Mapping[str, int]], *,
                     diameter: Optional[int] = None) -> Dict[str, int]:
+    """``given`` plus each key of ``needs`` ("n"/"m"/"D") it lacks.
+
+    Table 1's knowledge, derived from ``topology``; explicit entries
+    win.  D costs an all-pairs BFS, so it is computed only when needed
+    and not given — a caller holding a memoized ``diameter`` passes it.
+    """
     knowledge: Dict[str, int] = dict(given or {})
     for key in needs:
         if key in knowledge:
             continue
         if key == "n":
-            knowledge["n"] = network.num_nodes
+            knowledge["n"] = topology.num_nodes
         elif key == "m":
-            knowledge["m"] = network.num_edges
+            knowledge["m"] = topology.num_edges
         elif key == "D":
-            knowledge["D"] = (network.topology.diameter()
+            knowledge["D"] = (topology.diameter()
                               if diameter is None else diameter)
     return knowledge
 
@@ -201,9 +236,11 @@ def run_algorithm(graph: Union[Topology, Network], algorithm: str, *,
     Knowledge required by the algorithm (per Table 1) is computed from
     the graph automatically unless supplied explicitly.  ``model``
     selects the execution model (delays, crash faults, message loss);
-    the default is the paper's synchronous fault-free model.
-    ``tracer`` (a :class:`repro.obs.Tracer`) streams structured events
-    and ``timeline=True`` records the per-round time series
+    the default is the paper's synchronous fault-free model, and a
+    synchronous-only algorithm under delays is refused (see
+    :func:`algorithm_spec`).  ``tracer`` (a :class:`repro.obs.Tracer`)
+    streams structured events and ``timeline=True`` records the
+    per-round time series
     (``result.timeline``); both observe without perturbing — a traced
     run is bit-identical to an untraced one.  ``backend`` selects the
     engine (``"event-loop"`` default, ``"columnar"`` for the vectorized
@@ -211,16 +248,11 @@ def run_algorithm(graph: Union[Topology, Network], algorithm: str, *,
     that cannot run the request bit-identically raises
     :class:`~repro.sim.errors.BackendUnsupported`.
     """
-    registry = _ensure_registry()
-    if algorithm not in registry:
-        known = ", ".join(sorted(registry))
-        raise ValueError(
-            f"unknown algorithm {algorithm!r}; choose one of: {known}")
-    spec = registry[algorithm]
+    spec = algorithm_spec(algorithm, model)
     network = make_network(graph, seed=seed)
     request = RunRequest(
         network=network, factory=spec.factory, seed=seed,
-        knowledge=_auto_knowledge(network, spec.needs, knowledge),
+        knowledge=_auto_knowledge(network.topology, spec.needs, knowledge),
         wakeup=wakeup, model=model, tracer=tracer, timeline=timeline,
         max_rounds=max_rounds, algorithm=algorithm)
     return resolve_backend(backend).run(request)

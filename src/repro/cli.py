@@ -120,31 +120,17 @@ def cmd_list(args: argparse.Namespace) -> int:
 
 def cmd_elect(args: argparse.Namespace) -> int:
     from .analysis import run_trials
-    from .api import _ensure_registry
+    from .api import algorithm_spec
     from .sim.backend import normalize_backend
     from .sim.errors import BackendUnsupported
     from .sim.models import make_model
 
     topology = parse_graph(args.graph, seed=args.seed)
-    spec = _ensure_registry().get(args.algorithm)
-    if spec is None:
-        raise SystemExit(f"unknown algorithm {args.algorithm!r} "
-                         f"(see `python -m repro list`)")
     try:
         backend = normalize_backend(args.backend)
-    except ValueError as exc:
-        raise SystemExit(str(exc))
-    try:
         model = make_model(args.delay, args.crash, args.loss,
                            model_seed=args.model_seed)
-        if (model is not None and not spec.delay_tolerant
-                and model.delay.max_delay > 1):
-            raise SystemExit(
-                f"{args.algorithm} is synchronous-only: it assumes "
-                f"lock-step rounds and crashes under --delay "
-                f"{model.delay.max_delay} (its waves re-send over ports "
-                "with a delayed message still in flight); drop --delay "
-                "or pick a delay-tolerant algorithm")
+        spec = algorithm_spec(args.algorithm, model)
         if model is not None:
             # Eager validation of graph-size-dependent model input
             # (e.g. an explicit crash schedule naming absent nodes), so

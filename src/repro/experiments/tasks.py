@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import importlib
 from functools import lru_cache
-from types import SimpleNamespace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..graphs.ids import IdAssigner, RandomIds, ReversedIds, SequentialIds
@@ -150,43 +149,27 @@ def _election_metrics(result: RunResult, network: Network,
     }
 
 
-def _check_delay_tolerance(algorithm: Optional[str], spec: Any,
-                           model: Any) -> None:
-    """Refuse delayed runs of synchronous-only algorithms up front.
+def _run_election(cell: CellSpec, factory: Optional[Callable[[], Any]] = None,
+                  needs: tuple = ()) -> Dict[str, Any]:
+    """One election for ``cell``: the cell's registry algorithm, or an
+    anonymous ``factory`` that knows ``needs``.
 
-    The kingdom algorithms (``delay_tolerant=False`` in the registry)
-    assume lock-step rounds; under Δ > 1 delays their conquest waves
-    re-send over ports still holding a delayed message in flight, which
-    trips the model check (``ModelViolation: sent twice on port ...``)
-    mid-election.  Failing here turns a seed-dependent crash deep in a
-    sweep into an immediate, explainable refusal.
+    A registry algorithm passes :func:`repro.api.algorithm_spec` with
+    the cell's model before any network is built.
     """
-    if spec is None or getattr(spec, "delay_tolerant", True):
-        return
-    if model is None or model.delay.max_delay <= 1:
-        return
-    raise ValueError(
-        f"algorithm {algorithm!r} is synchronous-only: it cannot run "
-        f"under message delays (max_delay="
-        f"{model.delay.max_delay}); drop the delay model or pick a "
-        "delay-tolerant algorithm")
-
-
-def _run_election(cell: CellSpec, factory: Callable[[], Any],
-                  needs: tuple,
-                  algorithm: Optional[str] = None,
-                  spec: Any = None) -> Dict[str, Any]:
-    from ..api import _auto_knowledge
+    from ..api import _auto_knowledge, algorithm_spec
 
     if cell.graph is None:
         raise ValueError(f"task {cell.task!r} needs a graph spec")
     model = make_model(cell.delay, cell.crash, cell.loss,
                        model_seed=cell.model_seed)
-    _check_delay_tolerance(algorithm, spec, model)
+    if factory is None:
+        spec = algorithm_spec(cell.algorithm, model)
+        factory, needs = spec.factory, spec.needs
     topology, diameter = _cell_topology(cell)
     network = Network.build(topology, seed=cell.seed,
                             ids=make_ids(cell.ids))
-    knowledge = _auto_knowledge(network, tuple(needs) + cell.auto_knowledge,
+    knowledge = _auto_knowledge(topology, tuple(needs) + cell.auto_knowledge,
                                 cell.knowledge_dict, diameter=diameter)
     request = RunRequest(network=network, factory=factory, seed=cell.seed,
                          knowledge=knowledge,
@@ -194,7 +177,7 @@ def _run_election(cell: CellSpec, factory: Callable[[], Any],
                          model=model,
                          congest_bits=cell.congest_bits,
                          max_rounds=cell.max_rounds,
-                         algorithm=algorithm)
+                         algorithm=cell.algorithm)
     result = resolve_backend(cell.backend).run(request)
     return _election_metrics(result, network, diameter)
 
@@ -212,7 +195,7 @@ def plan_elect_group(cells: Sequence[CellSpec]) -> Optional[BatchRunRequest]:
     per trial, and malformed configs are left to the per-cell path so
     they raise their real, specific error.
     """
-    from ..api import _auto_knowledge, _ensure_registry
+    from ..api import _auto_knowledge, algorithm_spec
 
     first = cells[0]
     if first.task != "elect" or first.graph is None or first.algorithm is None:
@@ -221,22 +204,13 @@ def plan_elect_group(cells: Sequence[CellSpec]) -> Optional[BatchRunRequest]:
         return None  # per-trial topologies: no shared trial axis
     if first.params:
         return None  # elect rejects params; let the per-cell path say so
-    registry = _ensure_registry()
-    spec = registry.get(first.algorithm)
-    if spec is None:
-        return None
     try:
-        topology, diameter = _cell_topology(first)
         model = make_model(first.delay, first.crash, first.loss,
                            model_seed=first.model_seed)
-        _check_delay_tolerance(first.algorithm, spec, model)
-        # _auto_knowledge only reads num_nodes/num_edges (+ the passed
-        # diameter), so a topology shim avoids building any network.
-        shim = SimpleNamespace(num_nodes=topology.num_nodes,
-                               num_edges=topology.num_edges,
-                               topology=topology)
+        spec = algorithm_spec(first.algorithm, model)
+        topology, diameter = _cell_topology(first)
         knowledge = _auto_knowledge(
-            shim, tuple(spec.needs) + first.auto_knowledge,
+            topology, tuple(spec.needs) + first.auto_knowledge,
             first.knowledge_dict, diameter=diameter)
         wakeup = make_wakeup(first.wakeup)
         ids = make_ids(first.ids)
@@ -315,20 +289,11 @@ def _split_pair(value: Any, what: str) -> tuple:
 @register_task("elect")
 def elect_task(cell: CellSpec) -> Dict[str, Any]:
     """One election of a registry algorithm (the engine's workhorse)."""
-    from ..api import _ensure_registry
-
     _reject_unknown_params(cell)
-    registry = _ensure_registry()
     if cell.algorithm is None:
         raise ValueError("task 'elect' needs an algorithm axis "
                          "(set ExperimentSpec.algorithms / --algorithms)")
-    if cell.algorithm not in registry:
-        known = ", ".join(sorted(registry))
-        raise ValueError(
-            f"unknown algorithm {cell.algorithm!r}; choose one of: {known}")
-    spec = registry[cell.algorithm]
-    return _run_election(cell, spec.factory, spec.needs,
-                         algorithm=cell.algorithm, spec=spec)
+    return _run_election(cell)
 
 
 @register_task("candidate-f")
@@ -373,7 +338,7 @@ def clique_cycle_task(cell: CellSpec) -> Dict[str, Any]:
 @register_task("bridge-crossing")
 def bridge_crossing_task(cell: CellSpec) -> Dict[str, Any]:
     """One Theorem 3.1 dumbbell trial (``half`` param = ``"n:m"``)."""
-    from ..api import _ensure_registry
+    from ..api import algorithm_spec
     from ..graphs.dumbbell import DumbbellSampler
     from ..lower_bounds.bridge_crossing import run_crossing_trial
 
@@ -384,13 +349,10 @@ def bridge_crossing_task(cell: CellSpec) -> Dict[str, Any]:
                         model_seed=cell.model_seed or None,
                         backend=cell.backend)
     _reject_unknown_params(cell, allowed=("half",))
-    registry = _ensure_registry()
-    algorithm = cell.algorithm or "least-el"
-    if algorithm not in registry:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
+    spec = algorithm_spec(cell.algorithm or "least-el")
     n, m = _split_pair(_require_param(cell, "half"), "half")
     sampler = DumbbellSampler(n, m, seed=cell.seed)
-    trial = run_crossing_trial(sampler.sample(), registry[algorithm].factory,
+    trial = run_crossing_trial(sampler.sample(), spec.factory,
                                seed=cell.seed,
                                knowledge=cell.knowledge_dict or None,
                                max_rounds=cell.max_rounds)
@@ -429,7 +391,7 @@ def truncated_elect_task(cell: CellSpec) -> Dict[str, Any]:
     leader is unlikely while ``frac`` is a small constant and routine
     once ``frac·D'`` clears the diameter.
     """
-    from ..api import _ensure_registry
+    from ..api import _auto_knowledge, algorithm_spec
 
     _reject_unsupported(cell, graph=cell.graph,
                         auto_knowledge=cell.auto_knowledge, ids=cell.ids,
@@ -439,10 +401,7 @@ def truncated_elect_task(cell: CellSpec) -> Dict[str, Any]:
                         model_seed=cell.model_seed or None,
                         backend=cell.backend)
     _reject_unknown_params(cell, allowed=("instance", "frac"))
-    registry = _ensure_registry()
-    algorithm = cell.algorithm or "least-el"
-    if algorithm not in registry:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
+    spec = algorithm_spec(cell.algorithm or "least-el")
     n, d = _split_pair(_require_param(cell, "instance"), "instance")
     frac = float(_require_param(cell, "frac"))
     if frac <= 0:
@@ -451,10 +410,9 @@ def truncated_elect_task(cell: CellSpec) -> Dict[str, Any]:
     d_prime = cc.params.num_cliques
     horizon = max(1, int(frac * d_prime))
     network = Network.build(cc.topology, seed=cell.seed)
-    knowledge = dict(cell.knowledge_dict)
-    knowledge.setdefault("n", network.num_nodes)
-    knowledge.setdefault("D", diameter)
-    sim = Simulator(network, registry[algorithm].factory, seed=cell.seed,
+    knowledge = _auto_knowledge(cc.topology, ("n", "D"), cell.knowledge_dict,
+                                diameter=diameter)
+    sim = Simulator(network, spec.factory, seed=cell.seed,
                     knowledge=knowledge)
     result = sim.run(max_rounds=horizon)
     return {

@@ -4,10 +4,10 @@ An AST-based rule engine that *proves* the invariants the rest of the
 codebase holds by convention: all randomness flows from the seeded
 streams of :mod:`repro.sim.contract` (RL101/RL102/RL105), iteration
 order never leaks hash-table order into messages (RL103), the columnar
-kernel registry and ``AlgorithmSpec.backends`` agree (RL201), delay
-entry points guard synchronous-only algorithms (RL202), core modules
-carry Paper-claim docstrings consistent with the registry (RL203), and
-the instance-method-rebinding idiom preserves signatures (RL301).
+kernel registry and ``AlgorithmSpec.backends`` agree (RL201), core
+modules carry Paper-claim docstrings consistent with the registry
+(RL203), and the instance-method-rebinding idiom preserves signatures
+(RL301).
 
 Usage::
 

@@ -10,7 +10,7 @@ RL103    set iteration order feeding an ordered sink
 RL104    os.environ / os.getenv read in deterministic code
 RL105    builtin ``hash()`` (PYTHONHASHSEED-salted) in derivations
 RL201    columnar capability without a registered kernel (and inverse)
-RL202    delay-model entry point missing the ``delay_tolerant`` guard
+RL202    retired: ``repro.api.algorithm_spec`` refuses sync-only runs
 RL203    Paper-claim docstring block absent or contradicting the spec
 RL301    instance-method rebinding with a drifted signature (bases resolved)
 =======  ==========================================================

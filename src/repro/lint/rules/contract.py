@@ -1,9 +1,9 @@
-"""Contract-conformance rules: RL201–RL203.
+"""Contract-conformance rules: RL201 and RL203 (RL202 is retired).
 
 These are *project* rules: they parse several modules' ASTs and prove
 cross-module invariants that no single-file linter can see — the
-"equivalent or absent" kernel contract, the synchronous-only guard, and
-the Paper-claim docstring uniformity.  Everything is read from literals
+"equivalent or absent" kernel contract and the Paper-claim docstring
+uniformity.  Everything is read from literals
 (dict keys, tuple elements, keyword constants), never by importing the
 code, so the checks run on broken or partial trees and in CI without
 optional dependencies.
@@ -41,7 +41,6 @@ class SpecLiteral:
     messages: Optional[str] = None
     needs: Tuple[str, ...] = ()
     backends: Optional[Tuple[str, ...]] = None
-    delay_tolerant: Optional[bool] = None
 
 
 @dataclass
@@ -121,9 +120,6 @@ def parse_registry(info: ModuleInfo) -> Optional[RegistryLiteral]:
                         spec.needs = _str_tuple(kw.value) or ()
                     elif kw.arg == "backends":
                         spec.backends = _str_tuple(kw.value)
-                    elif kw.arg == "delay_tolerant":
-                        if isinstance(kw.value, ast.Constant):
-                            spec.delay_tolerant = bool(kw.value.value)
                 out.specs[name] = spec
         elif isinstance(node, ast.For):
             # for name in KERNEL_ALGORITHMS: specs[name].backends = ...
@@ -271,69 +267,6 @@ class KernelRegistryRule(ProjectRule):
                         "repro.api._registry never folds "
                         "KERNEL_ALGORITHMS into AlgorithmSpec.backends — "
                         "columnar capability would be invisible")
-
-
-# ----------------------------------------------------------------------
-@register
-class DelayGuardRule(ProjectRule):
-    """RL202: delay-model entry points must consult ``delay_tolerant``.
-
-    ``delay_tolerant=False`` algorithms (the kingdom family) crash with
-    a mid-run ``ModelViolation`` under Δ>1 delays; every module that
-    builds an execution model from user input (calls ``make_model``)
-    and can route arbitrary registry algorithms into a run must gate on
-    the spec's ``delay_tolerant`` flag so the refusal is up-front and
-    clear.
-    """
-
-    code = "RL202"
-    summary = ("module builds a delay model from user input but never "
-               "checks AlgorithmSpec.delay_tolerant")
-
-    def check_project(self, project: Project) -> Iterable[Violation]:
-        api = project.get(API_MODULE)
-        registry = parse_registry(api) if api else None
-        if registry is not None and not any(
-                s.delay_tolerant is False for s in registry.specs.values()):
-            return  # nothing synchronous-only: no guard needed anywhere
-
-        for info in project.modules.values():
-            if info.module in ("repro.sim.models",):
-                continue  # make_model's home is below the guard layer
-            call = self._make_model_call(info)
-            if call is None:
-                continue
-            if not self._mentions_delay_tolerant(info):
-                yield self.violation(
-                    info, call.lineno, call.col_offset,
-                    "this module turns user input into an execution "
-                    "model (make_model) but never consults "
-                    "AlgorithmSpec.delay_tolerant — synchronous-only "
-                    "algorithms would crash mid-run under --delay "
-                    "instead of refusing up front")
-
-    @staticmethod
-    def _make_model_call(info: ModuleInfo) -> Optional[ast.Call]:
-        for node in ast.walk(info.tree):
-            if isinstance(node, ast.Call):
-                func = node.func
-                name = (func.id if isinstance(func, ast.Name)
-                        else func.attr if isinstance(func, ast.Attribute)
-                        else None)
-                if name == "make_model":
-                    return node
-        return None
-
-    @staticmethod
-    def _mentions_delay_tolerant(info: ModuleInfo) -> bool:
-        for node in ast.walk(info.tree):
-            if (isinstance(node, ast.Attribute)
-                    and node.attr == "delay_tolerant"):
-                return True
-            if (isinstance(node, ast.Constant)
-                    and node.value == "delay_tolerant"):
-                return True  # getattr(spec, "delay_tolerant", True)
-        return False
 
 
 # ----------------------------------------------------------------------

@@ -26,6 +26,7 @@ import statistics
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
+from ..api import _auto_knowledge
 from ..graphs.clique_cycle import CliqueCycle
 from ..graphs.network import Network
 from ..sim.process import NodeProcess
@@ -72,7 +73,7 @@ def truncation_experiment(n: int, d: int, factory: ProcessFactory, *,
     """Probability of a unique leader when stopped after T = f·D' rounds."""
     cc = CliqueCycle(n, d)
     d_prime = cc.params.num_cliques
-    diameter = cc.topology.diameter()
+    knowledge = _auto_knowledge(cc.topology, knowledge_keys, None)
     if fractions is None:
         fractions = [0.05, 0.1, 0.25, 0.5, 1.0, 2.0, 4.0]
     points = []
@@ -81,11 +82,6 @@ def truncation_experiment(n: int, d: int, factory: ProcessFactory, *,
         leaders_counts = []
         for t in range(trials):
             network = Network.build(cc.topology, seed=seed * 31 + t)
-            knowledge = {}
-            if "n" in knowledge_keys:
-                knowledge["n"] = network.num_nodes
-            if "D" in knowledge_keys:
-                knowledge["D"] = diameter
             sim = Simulator(network, factory, seed=seed * 1009 + t,
                             knowledge=knowledge)
             result = sim.run(max_rounds=horizon)
@@ -120,14 +116,11 @@ def completion_time_experiment(n: int, d: int, factory: ProcessFactory, *,
     """Round counts of full (untruncated) runs on the clique-cycle."""
     cc = CliqueCycle(n, d)
     diameter = cc.topology.diameter()
+    knowledge = _auto_knowledge(cc.topology, knowledge_keys, None,
+                                diameter=diameter)
     rounds: List[int] = []
     for t in range(trials):
         network = Network.build(cc.topology, seed=seed * 31 + t)
-        knowledge = {}
-        if "n" in knowledge_keys:
-            knowledge["n"] = network.num_nodes
-        if "D" in knowledge_keys:
-            knowledge["D"] = diameter
         sim = Simulator(network, factory, seed=seed * 1009 + t,
                         knowledge=knowledge)
         result = sim.run(max_rounds=max_rounds)

@@ -186,32 +186,21 @@ def measure_point(algorithm: str, graph: str, delay: Optional[str] = None, *,
     attaches a ``"profile"`` dict splitting its time into scheduler /
     algorithm / metrics / model / other buckets.
     """
-    from ..api import _auto_knowledge, _ensure_registry
+    from ..api import _auto_knowledge, algorithm_spec
     from ..graphs.network import Network
     from ..graphs.specs import parse_graph_spec
     from .backend import DEFAULT_BACKEND, RunRequest, normalize_backend, \
         resolve_backend
     from .models import make_model
 
-    registry = _ensure_registry()
-    if algorithm not in registry:
-        known = ", ".join(sorted(registry))
-        raise ValueError(
-            f"unknown algorithm {algorithm!r}; choose one of: {known}")
-    spec = registry[algorithm]
+    model = make_model(delay)
+    spec = algorithm_spec(algorithm, model)
     backend = normalize_backend(backend)
     engine = resolve_backend(backend)
     topology = parse_graph_spec(graph, seed=seed)
     network = Network.build(topology, seed=seed)
-    knowledge = _auto_knowledge(network, spec.needs + tuple(auto_knowledge),
+    knowledge = _auto_knowledge(topology, spec.needs + tuple(auto_knowledge),
                                 None)
-    model = make_model(delay)
-    if (model is not None and not spec.delay_tolerant
-            and model.delay.max_delay > 1):
-        raise ValueError(
-            f"{algorithm} is synchronous-only (delay_tolerant=False): it "
-            f"would crash mid-run under delay {delay!r}; benchmark it "
-            f"without a delay spec or pick a delay-tolerant algorithm")
 
     def _request() -> RunRequest:
         return RunRequest(network=network, factory=spec.factory, seed=seed,
@@ -350,18 +339,13 @@ def measure_trials_point(algorithm: str, graph: str, trials: int, *,
     in full to make that checkable from the artifact alone.
     """
     from ..analysis.stats import run_trials
-    from ..api import _ensure_registry
+    from ..api import algorithm_spec
     from ..graphs.specs import parse_graph_spec
     from .backend import DEFAULT_BACKEND, normalize_backend
 
-    registry = _ensure_registry()
-    if algorithm not in registry:
-        known = ", ".join(sorted(registry))
-        raise ValueError(
-            f"unknown algorithm {algorithm!r}; choose one of: {known}")
+    keys = tuple(algorithm_spec(algorithm).needs) + tuple(auto_knowledge)
     backend = normalize_backend(backend)
     topology = parse_graph_spec(graph, seed=seed)
-    keys = tuple(registry[algorithm].needs) + tuple(auto_knowledge)
     t0 = time.perf_counter()
     stats = run_trials(topology, algorithm, trials=trials, seed=seed,
                        knowledge_keys=keys, max_rounds=max_rounds,

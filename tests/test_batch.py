@@ -304,32 +304,6 @@ class TestRunnerGrouping:
         assert calls[-1] == (6, 6)
 
 
-class TestDelayIntolerance:
-    """Satellite: kingdom is synchronous-only; delayed runs refuse."""
-
-    def test_registry_flags(self):
-        registry = _ensure_registry()
-        assert not registry["kingdom"].delay_tolerant
-        assert not registry["kingdom-known-d"].delay_tolerant
-        assert registry["least-el"].delay_tolerant
-
-    @pytest.mark.parametrize("algorithm", ["kingdom", "kingdom-known-d"])
-    def test_elect_task_refuses_delayed_kingdom(self, algorithm):
-        spec = ExperimentSpec(name="delayed", algorithms=[algorithm],
-                              graphs=["ring:8"], trials=1,
-                              delay=["uniform:4"])
-        from repro.experiments.runner import execute_cell
-        with pytest.raises(ValueError, match="synchronous-only"):
-            execute_cell(spec.expand()[0])
-
-    def test_kingdom_without_delay_still_runs(self):
-        spec = ExperimentSpec(name="plain", algorithms=["kingdom"],
-                              graphs=["ring:8"], trials=1)
-        from repro.experiments.runner import execute_cell
-        metrics = execute_cell(spec.expand()[0])
-        assert metrics["success"] is True
-
-
 ALGO_STRATEGY = st.sampled_from(["flood-max", "sublinear"])
 GRAPH_STRATEGY = st.sampled_from(["ring:6", "clique:12", "clique:40",
                                   "star:7", "path:9"])

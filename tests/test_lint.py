@@ -365,67 +365,6 @@ def test_rl201_acceptance_on_real_tree(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# RL202 delay guard
-# ----------------------------------------------------------------------
-RL202_API = """\
-def _registry():
-    from .core.algo import Algo
-    from .sim.contract import AlgorithmSpec
-
-    specs = {
-        "sync-only": AlgorithmSpec(Algo, result="Thm 2", time="O(D)",
-                                   messages="O(m)", delay_tolerant=False),
-    }
-    return specs
-"""
-
-RL202_BAD_RUNNER = """\
-from .models import make_model
-
-
-def run(delay):
-    model = make_model(delay)
-    return model
-"""
-
-RL202_GUARDED_RUNNER = """\
-from .models import make_model
-
-
-def run(spec, delay):
-    model = make_model(delay)
-    if model is not None and not spec.delay_tolerant:
-        raise ValueError("synchronous-only algorithm under delay")
-    return model
-"""
-
-
-def test_rl202_fires_without_guard(tmp_path):
-    result = lint_tree(tmp_path, {
-        "repro/api.py": RL202_API,
-        "repro/sim/runnerx.py": RL202_BAD_RUNNER,
-    }, select=["RL202"])
-    assert codes(result) == ["RL202"]
-
-
-def test_rl202_clean_with_guard(tmp_path):
-    result = lint_tree(tmp_path, {
-        "repro/api.py": RL202_API,
-        "repro/sim/runnerx.py": RL202_GUARDED_RUNNER,
-    }, select=["RL202"])
-    assert codes(result) == []
-
-
-def test_rl202_moot_when_everything_delay_tolerant(tmp_path):
-    api = RL202_API.replace(", delay_tolerant=False", "")
-    result = lint_tree(tmp_path, {
-        "repro/api.py": api,
-        "repro/sim/runnerx.py": RL202_BAD_RUNNER,
-    }, select=["RL202"])
-    assert codes(result) == []
-
-
-# ----------------------------------------------------------------------
 # RL203 Paper-claim docstrings
 # ----------------------------------------------------------------------
 RL203_API = """\

@@ -18,7 +18,6 @@ import logging
 import pytest
 
 import repro.api as api
-from repro.api import run_algorithm
 from repro.experiments import ExperimentSpec, Runner
 from repro.graphs.specs import parse_graph_spec
 from repro.obs import (
@@ -43,9 +42,17 @@ from repro.sim.bench import load_trajectory, measure_point, snapshot
 
 def _run(algorithm, graph, *, seed=3, model=None, tracer=None,
          timeline=False, max_rounds=5000):
-    return run_algorithm(parse_graph_spec(graph, seed=seed), algorithm,
-                         seed=seed, model=model, max_rounds=max_rounds,
-                         tracer=tracer, timeline=timeline)
+    """One event-loop run with ``run_algorithm``'s network, seed and
+    knowledge, through :class:`Simulator` itself: the reference runs
+    anything, kingdom under delays included, which every named entry
+    point refuses."""
+    topology = parse_graph_spec(graph, seed=seed)
+    spec = api._ensure_registry()[algorithm]
+    sim = Simulator(api.make_network(topology, seed=seed), spec.factory,
+                    seed=seed,
+                    knowledge=api._auto_knowledge(topology, spec.needs, None),
+                    model=model, tracer=tracer, timeline=timeline)
+    return sim.run(max_rounds=max_rounds)
 
 
 MODELS = {
